@@ -42,17 +42,19 @@ from .model import (
     Contract,
     Exists,
     FiniteGrid,
-    GridIncomplete,
     Implies,
     Interpretation,
     Not,
     UndefinedTerm,
+    Valuation,
     conj,
     disj,
     eval_assertion,
     freeze_valuation,
+    interpret_finite,
     qualify,
     rename_vars,
+    satisfying_valuations,
     simplify_bools,
     FALSE,
     TRUE,
@@ -88,10 +90,8 @@ class ComposedContract:
     operator: CompositionOperator
     bindings: tuple[tuple[str, Contract], ...]
     glue: Assertion
-    child_vars: tuple[str, ...]
     projection: str  # "exact" | "quantified-residue"
     guarantee_body: Assertion
-    assumption_body: Assertion | None  # None when all child assumptions are true
 
 
 def _as_contract(c: Union[Contract, ComposedContract]) -> Contract:
@@ -168,10 +168,8 @@ def compose_contracts(
         g_exact = False
 
     conj_a = simplify_bools(conj(child_assumes))
-    assumption_body: Assertion | None
     if isinstance(conj_a, BoolLit) and conj_a.value:
         assumption = TRUE
-        assumption_body = None
         a_exact = True
     else:
         assumption_body = simplify_bools(conj([phi] + children_sat + [Not(conj_a)]))
@@ -190,30 +188,32 @@ def compose_contracts(
         operator=op,
         bindings=tuple(bindings),
         glue=phi,
-        child_vars=tuple(child_vars),
         projection="exact" if g_exact and a_exact else "quantified-residue",
         guarantee_body=guarantee_body,
-        assumption_body=assumption_body,
     )
 
 
 # ---------------------------------------------------------------------------
 # the three verification checks
 
+def _check_satisfiable(formula: Assertion, opts: EngineOptions, refuted: str, shown: Assertion) -> Verdict:
+    """Proved iff the formula is satisfiable; a refutation cites `shown`."""
+    result = decide_satisfiability(formula, opts)
+    if result.status == "sat":
+        return Verdict(Status.PROVED, witness=result.witness)
+    if result.status == "unsat":
+        return Verdict(Status.FALSIFIED, reason=f"{refuted}: {format_expr(shown)}")
+    return Verdict(Status.UNKNOWN, reason=result.reason)
+
+
 def check_compatibility(
     c: Union[Contract, ComposedContract], opts: EngineOptions = EngineOptions()
 ) -> Verdict:
     """Proved iff the assumption is satisfiable (some environment exists)."""
     contract = _as_contract(c)
-    result = decide_satisfiability(contract.assumption, opts)
-    if result.status == "sat":
-        return Verdict(Status.PROVED, witness=result.witness)
-    if result.status == "unsat":
-        return Verdict(
-            Status.FALSIFIED,
-            reason=f"incompatible: assumption unsatisfiable: {format_expr(contract.assumption)}",
-        )
-    return Verdict(Status.UNKNOWN, reason=result.reason)
+    return _check_satisfiable(
+        contract.assumption, opts, "incompatible: assumption unsatisfiable", contract.assumption
+    )
 
 
 def check_consistency(
@@ -221,16 +221,12 @@ def check_consistency(
 ) -> Verdict:
     """Proved iff some implementation satisfies assumption -> guarantee."""
     contract = _as_contract(c)
-    formula = Implies(contract.assumption, contract.guarantee)
-    result = decide_satisfiability(formula, opts)
-    if result.status == "sat":
-        return Verdict(Status.PROVED, witness=result.witness)
-    if result.status == "unsat":
-        return Verdict(
-            Status.FALSIFIED,
-            reason=f"inconsistent: no implementation: {format_expr(contract.guarantee)}",
-        )
-    return Verdict(Status.UNKNOWN, reason=result.reason)
+    return _check_satisfiable(
+        Implies(contract.assumption, contract.guarantee),
+        opts,
+        "inconsistent: no implementation",
+        contract.guarantee,
+    )
 
 
 def check_refinement(
@@ -265,44 +261,12 @@ def check_refinement(
 # ---------------------------------------------------------------------------
 # finite semantics of composed contracts
 
-def _grid_values(grid: FiniteGrid, name: str) -> tuple[Fraction, ...]:
-    vals = grid.values_for(name)
-    if vals is None and "." in name:
-        vals = grid.values_for(name.split(".", 1)[1])
-    if vals is None:
-        raise GridIncomplete([name])
-    return vals
-
-
 def interpret_composed_finite(
     composed: ComposedContract, grid: FiniteGrid
 ) -> Interpretation:
     """Finite interpretation of a composed contract; quantifiers in the
-    residue range over the grid, looking qualified child variables up by
-    their bare field name when no qualified entry exists."""
-    fields = composed.contract.subject.field_names()
-    pgrid = grid.restrict(fields)
-
-    def lookup(name: str) -> tuple[Fraction, ...]:
-        return _grid_values(grid, name)
-
-    envs = set()
-    impls = set()
-    assumption = composed.contract.assumption
-    implements = Implies(assumption, composed.contract.guarantee)
-    for env in pgrid.valuations():
-        frozen = freeze_valuation(env)
-        try:
-            if eval_assertion(assumption, env, lookup):
-                envs.add(frozen)
-        except UndefinedTerm:
-            pass
-        try:
-            if eval_assertion(implements, env, lookup):
-                impls.add(frozen)
-        except UndefinedTerm:
-            pass
-    return Interpretation(pgrid, frozenset(envs), frozenset(impls))
+    residue range over the grid by :meth:`FiniteGrid.lookup`."""
+    return interpret_finite(composed.contract, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -334,44 +298,30 @@ def verify_min_characterization(
     parent_vals = list(pgrid.valuations())
     binding_names = [b for b, _ in composed.bindings]
 
-    child_grids: list[list[dict[str, Fraction]]] = []
+    child_grids = [
+        FiniteGrid.of({f: grid.lookup(f"{bname}.{f}") for f in part.subject.field_names()})
+        for bname, part in zip(binding_names, parts)
+    ]
     total = pgrid.point_count()
-    for bname, part in zip(binding_names, parts):
-        fields = part.subject.field_names()
-        values = {f: _grid_values(grid, f"{bname}.{f}") for f in fields}
-        space = list(FiniteGrid.of(values).valuations())
-        child_grids.append(space)
-        total *= len(space)
+    for g in child_grids:
+        total *= g.point_count()
     if total > 2**16:
         raise GridTooLarge(f"{total} assemblies exceed the 2^16 guard")
 
-    # child environments and implementations, by exact evaluation
-    child_envs: list[set[tuple]] = []
-    child_impls: list[list[dict[str, Fraction]]] = []
-    for part, space in zip(parts, child_grids):
-        sat = Implies(part.assumption, part.guarantee)
-        envs = set()
-        impls = []
-        for v in space:
-            try:
-                if eval_assertion(part.assumption, v):
-                    envs.add(freeze_valuation(v))
-            except UndefinedTerm:
-                pass
-            try:
-                if eval_assertion(sat, v):
-                    impls.append(v)
-            except UndefinedTerm:
-                pass
-        child_envs.append(envs)
-        child_impls.append(impls)
+    # child valuations, environments and implementations, in grid order
+    child_spaces = [[freeze_valuation(v) for v in g.valuations()] for g in child_grids]
+    child_envs = [satisfying_valuations(part.assumption, g) for part, g in zip(parts, child_grids)]
+    child_impls: list[list[Valuation]] = []
+    for part, g, space in zip(parts, child_grids, child_spaces):
+        impls = satisfying_valuations(Implies(part.assumption, part.guarantee), g)
+        child_impls.append([v for v in space if v in impls])
 
     glue = composed.glue
 
-    def phi_holds(parent_env: Mapping[str, Fraction], children: Sequence[Mapping[str, Fraction]]) -> bool:
+    def phi_holds(parent_env: Mapping[str, Fraction], children: Sequence[Valuation]) -> bool:
         merged = dict(parent_env)
         for bname, val in zip(binding_names, children):
-            for f, x in val.items():
+            for f, x in val:
                 merged[f"{bname}.{f}"] = x
         try:
             return eval_assertion(glue, merged)
@@ -386,11 +336,11 @@ def verify_min_characterization(
     for i, pv in enumerate(parent_vals):
         ok = True
         for t in tuples:
-            for k, space in enumerate(child_grids):
+            for k, space in enumerate(child_spaces):
                 for v_k in space:
                     assembled = list(t)
                     assembled[k] = v_k
-                    if phi_holds(pv, assembled) and freeze_valuation(v_k) not in child_envs[k]:
+                    if phi_holds(pv, assembled) and v_k not in child_envs[k]:
                         ok = False
                         break
                 if not ok:

@@ -2,7 +2,8 @@
 through the pipeline, and emit deterministic reports.
 
 Exit codes: 0 all checks proved; 1 some check falsified; 2 some check
-unknown (and none falsified); 3 parse/type/resolution errors.
+unknown (and none falsified); 3 parse/type/resolution errors or bad flag
+values.
 """
 
 from __future__ import annotations
@@ -35,7 +36,10 @@ from .parser import merge_documents, parse_only, resolve_document
 
 
 def _parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"not an exact rational: {text.strip()!r}") from None
 
 
 def parse_grid_flag(text: str) -> dict[str, tuple[Fraction, ...]]:
@@ -63,7 +67,7 @@ def parse_box_flag(text: str) -> dict[str, Interval]:
             raise ValueError(f"bad box entry: {part!r}")
         var, rng = part.split("=", 1)
         rng = rng.strip()
-        if not (rng.startswith("[") and rng.endswith("]")):
+        if not (rng.startswith("[") and rng.endswith("]") and "," in rng):
             raise ValueError(f"bad box range: {rng!r}")
         lo_text, hi_text = rng[1:-1].split(",", 1)
         out[var.strip()] = Interval(_parse_rational(lo_text), _parse_rational(hi_text))
@@ -114,33 +118,21 @@ def _engine_options(opts: CheckOptions) -> EngineOptions:
     )
 
 
-def _oracle_grid(obligation: Obligation, composed: ComposedContract, hint) -> FiniteGrid:
+def _oracle_grid(composed: ComposedContract, hint) -> FiniteGrid:
     """Assemble the full oracle grid: parent fields plus qualified child
-    fields, falling back from a qualified name to its bare field name."""
-    values: dict[str, tuple[Fraction, ...]] = {}
-
-    def lookup(name: str) -> tuple[Fraction, ...]:
-        if name in hint:
-            return tuple(hint[name])
-        if "." in name:
-            bare = name.split(".", 1)[1]
-            if bare in hint:
-                return tuple(hint[bare])
-        raise GridIncomplete([name])
-
-    for f in composed.contract.subject.field_names():
-        values[f] = lookup(f)
+    fields, each looked up in the hint by :meth:`FiniteGrid.lookup`."""
+    hint_grid = FiniteGrid.of(hint)
+    names = list(composed.contract.subject.field_names())
     for bname, contract in composed.bindings:
-        for f in contract.subject.field_names():
-            values[f"{bname}.{f}"] = lookup(f"{bname}.{f}")
-    return FiniteGrid.of(values)
+        names.extend(f"{bname}.{f}" for f in contract.subject.field_names())
+    return FiniteGrid.of({name: hint_grid.lookup(name) for name in names})
 
 
 def _run_oracle(obligation: Obligation, composed: ComposedContract, hint, refinement: Verdict) -> dict:
     out: dict = {}
     try:
-        grid = _oracle_grid(obligation, composed, hint)
-    except GridIncomplete as exc:
+        grid = _oracle_grid(composed, hint)
+    except (GridIncomplete, ValueError) as exc:  # ValueError: empty or duplicate grid values
         return {"skipped": str(exc)}
     try:
         concrete = interpret_composed_finite(composed, grid)
@@ -231,30 +223,21 @@ def run_check(paths: Sequence[str], opts: CheckOptions) -> tuple[int, dict]:
             entry: dict = {"name": obligation.name, "operator": obligation.operator.name}
             checks: list[dict] = []
 
-            types_verdict = Verdict(Status.PROVED)
-            checks.append({"kind": "types", "subject": obligation.name, "verdict": _verdict_json(types_verdict)})
-            verdicts.append(types_verdict)
+            def record(kind: str, subject: str, v: Verdict) -> None:
+                verdicts.append(v)
+                checks.append({"kind": kind, "subject": subject, "verdict": _verdict_json(v)})
 
-            referenced = [(name, contract) for name, contract in obligation.bindings]
-            referenced.append((obligation.abstract.name, obligation.abstract))
-            for _, contract in referenced:
-                for kind, check in (("compatibility", check_compatibility), ("consistency", check_consistency)):
-                    v = check(contract, engine_opts)
-                    verdicts.append(v)
-                    checks.append({"kind": kind, "subject": contract.name, "verdict": _verdict_json(v)})
-
+            record("types", obligation.name, Verdict(Status.PROVED))
             composed = compose_contracts(obligation.operator, obligation.bindings, engine_opts)
             entry["projection"] = composed.projection
-            for kind, check in (("compatibility", check_compatibility), ("consistency", check_consistency)):
-                v = check(composed, engine_opts)
-                verdicts.append(v)
-                checks.append({"kind": kind, "subject": composed.contract.name, "verdict": _verdict_json(v)})
+            leaves = [contract for _, contract in obligation.bindings] + [obligation.abstract]
+            subjects = [(c.name, c) for c in leaves] + [(composed.contract.name, composed)]
+            for name, subject in subjects:
+                for kind, check in (("compatibility", check_compatibility), ("consistency", check_consistency)):
+                    record(kind, name, check(subject, engine_opts))
 
             refinement = check_refinement(composed, obligation.abstract, engine_opts)
-            verdicts.append(refinement)
-            checks.append(
-                {"kind": "refinement", "subject": obligation.abstract.name, "verdict": _verdict_json(refinement)}
-            )
+            record("refinement", obligation.abstract.name, refinement)
             entry["checks"] = checks
 
             hint: dict[str, tuple[Fraction, ...]] = dict(obligation.grid_hint or {})
@@ -349,16 +332,22 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    opts = CheckOptions(
-        obligations=tuple(args.obligation),
-        grid=parse_grid_flag(args.grid) if args.grid else None,
-        dnf_cap=args.dnf_cap,
-        samples=args.samples,
-        seed=args.seed,
-        box=parse_box_flag(args.box) if args.box else None,
-        deterministic=args.deterministic,
-        oracle=args.oracle,
-    )
+    try:
+        if args.samples < 1:
+            raise ValueError("--samples must be >= 1")
+        opts = CheckOptions(
+            obligations=tuple(args.obligation),
+            grid=parse_grid_flag(args.grid) if args.grid else None,
+            dnf_cap=args.dnf_cap,
+            samples=args.samples,
+            seed=args.seed,
+            box=parse_box_flag(args.box) if args.box else None,
+            deterministic=args.deterministic,
+            oracle=args.oracle,
+        )
+    except ValueError as exc:
+        sys.stderr.write(f"sccheck: error: {exc}\n")
+        return 3
     code, report = run_check(args.files, opts)
     if args.format == "json":
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=False) + "\n")

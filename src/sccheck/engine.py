@@ -47,8 +47,8 @@ from .model import (
     eval_assertion,
     eval_term,
     free_vars,
-    freeze_valuation,
     rename_vars,
+    satisfying_valuations,
     simplify_bools,
 )
 
@@ -898,16 +898,7 @@ def sample_falsify(
 
 def enumerate_models(formula: Assertion, grid: FiniteGrid) -> frozenset[Valuation]:
     """All grid valuations satisfying the formula under exact evaluation."""
-    variables = sorted(free_vars(formula))
-    sub = grid.restrict(variables)
-    out = set()
-    for env in sub.valuations():
-        try:
-            if eval_assertion(formula, env):
-                out.add(freeze_valuation(env))
-        except UndefinedTerm:
-            continue
-    return frozenset(out)
+    return satisfying_valuations(formula, grid.restrict(sorted(free_vars(formula))))
 
 
 # ---------------------------------------------------------------------------

@@ -363,32 +363,21 @@ def _eval3(
             if rv is True:
                 return True
             return None if lv is None or rv is None else False
-        case Exists(names=ns, body=b):
+        case Exists(names=ns, body=b) | Forall(names=ns, body=b):
             if quantifier_grids is None:
                 raise ModelError("quantifier in plain evaluation")
+            # one body value decides: true for Exists, false for Forall
+            decisive = isinstance(a, Exists)
             saw_undefined = False
             for combo in itertools.product(*(quantifier_grids(n) for n in ns)):
                 inner = dict(env)
                 inner.update(zip(ns, combo))
                 value = _eval3(b, inner, quantifier_grids)
-                if value is True:
-                    return True
+                if value is decisive:
+                    return decisive
                 if value is None:
                     saw_undefined = True
-            return None if saw_undefined else False
-        case Forall(names=ns, body=b):
-            if quantifier_grids is None:
-                raise ModelError("quantifier in plain evaluation")
-            saw_undefined = False
-            for combo in itertools.product(*(quantifier_grids(n) for n in ns)):
-                inner = dict(env)
-                inner.update(zip(ns, combo))
-                value = _eval3(b, inner, quantifier_grids)
-                if value is False:
-                    return False
-                if value is None:
-                    saw_undefined = True
-            return None if saw_undefined else True
+            return None if saw_undefined else not decisive
     raise TypeError(f"not an assertion: {a!r}")
 
 
@@ -514,10 +503,6 @@ def freeze_valuation(env: Mapping[str, Fraction]) -> Valuation:
     return tuple(sorted(env.items()))
 
 
-def unfreeze_valuation(v: Valuation) -> dict[str, Fraction]:
-    return dict(v)
-
-
 @dataclass(frozen=True)
 class FiniteGrid:
     """Per variable, a finite ordered set of exact rationals."""
@@ -536,14 +521,21 @@ class FiniteGrid:
             entries.append((name, vals))
         return FiniteGrid(tuple(entries))
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
-
     def values_for(self, var: str) -> tuple[Fraction, ...] | None:
         for name, vals in self.entries:
             if name == var:
                 return vals
         return None
+
+    def lookup(self, name: str) -> tuple[Fraction, ...]:
+        """Values for a variable: its own entry, else, for a qualified name
+        such as "c1.r", the entry of its bare field name "r"."""
+        vals = self.values_for(name)
+        if vals is None and "." in name:
+            vals = self.values_for(name.split(".", 1)[1])
+        if vals is None:
+            raise GridIncomplete([name])
+        return vals
 
     def restrict(self, variables: Sequence[str]) -> "FiniteGrid":
         missing = [v for v in variables if self.values_for(v) is None]
@@ -586,30 +578,38 @@ def saturate(c: Contract) -> Contract:
     return Contract(c.name, c.subject, c.assumption, Implies(c.assumption, c.guarantee))
 
 
+def satisfying_valuations(
+    formula: Assertion, grid: FiniteGrid, quantifier_grids: GridLookup | None = None
+) -> frozenset[Valuation]:
+    """The valuations of the grid that satisfy the formula.
+
+    Quantifiers range over ``quantifier_grids``; a valuation at which the
+    formula is undefined does not satisfy it.
+    """
+    out = set()
+    for env in grid.valuations():
+        try:
+            if eval_assertion(formula, env, quantifier_grids):
+                out.add(freeze_valuation(env))
+        except UndefinedTerm:
+            pass
+    return frozenset(out)
+
+
 def interpret_finite(c: Contract, grid: FiniteGrid) -> Interpretation:
     """Brute-force interpretation of a contract over a finite grid.
 
-    Environments are the valuations satisfying the assumption;
-    implementations those satisfying assumption -> guarantee.
+    Environments are the valuations of the subject's fields satisfying the
+    assumption; implementations those satisfying assumption -> guarantee.
+    Quantifiers, as in a composed contract's residue, range over the whole
+    grid through :meth:`FiniteGrid.lookup`.
     """
-    fields = c.subject.field_names()
-    sub = grid.restrict(fields)
-    envs = set()
-    impls = set()
-    sat = Implies(c.assumption, c.guarantee)
-    for env in sub.valuations():
-        frozen = freeze_valuation(env)
-        try:
-            if eval_assertion(c.assumption, env):
-                envs.add(frozen)
-        except UndefinedTerm:
-            pass
-        try:
-            if eval_assertion(sat, env):
-                impls.add(frozen)
-        except UndefinedTerm:
-            pass
-    return Interpretation(sub, frozenset(envs), frozenset(impls))
+    sub = grid.restrict(c.subject.field_names())
+    return Interpretation(
+        sub,
+        satisfying_valuations(c.assumption, sub, grid.lookup),
+        satisfying_valuations(Implies(c.assumption, c.guarantee), sub, grid.lookup),
+    )
 
 
 def refines_finite(concrete: Interpretation, abstract: Interpretation) -> bool:

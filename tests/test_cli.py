@@ -17,6 +17,7 @@ from sccheck.engine import Status, Verdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = str(ROOT / "corpus" / "resistor.scspec")
+GOLDEN = ROOT / "tests" / "data" / "corpus_oracle_report.json"
 SCHEMA = json.loads((ROOT / "docs" / "report.schema.json").read_text())
 
 P = Verdict(Status.PROVED)
@@ -58,6 +59,18 @@ def test_parse_box_flag():
     parsed = parse_box_flag("r=[0,10];u=[-5,5]")
     assert str(parsed["r"].lo) == "0" and str(parsed["r"].hi) == "10"
     assert str(parsed["u"].lo) == "-5"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--grid", "r=x"], ["--grid", "r=1/0"], ["--box", "r=[1]"], ["--samples", "0", "--dnf-cap", "0"]],
+)
+def test_bad_flag_values_are_input_errors(flags, capsys):
+    code = main(["check", CORPUS, *flags])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("sccheck: error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -179,20 +192,46 @@ def test_report_round_trips_through_generic_json(capsys):
     assert json.dumps(json.loads(text), indent=2, sort_keys=False) + "\n" == text
 
 
+CELL_SPEC = (
+    "quantity resistance;\n"
+    "component Cell { r: resistance; }\n"
+    "operator pair(a: Cell, b: Cell) -> Cell { r = a.r + b.r; }\n"
+    "contract One : Cell { assume true; guarantee r = 1; }\n"
+    "contract Two : Cell { assume true; guarantee r = 2; }\n"
+    "contract Three : Cell { assume true; guarantee r = 3; }\n"
+    "refinement R : compose pair(One as c1, Two as c2) <: Three"
+)
+
+
 def test_grid_flag_supplies_oracle_hint(tmp_path, capsys):
     spec = tmp_path / "cell.scspec"
-    spec.write_text(
-        "quantity resistance;\n"
-        "component Cell { r: resistance; }\n"
-        "operator pair(a: Cell, b: Cell) -> Cell { r = a.r + b.r; }\n"
-        "contract One : Cell { assume true; guarantee r = 1; }\n"
-        "contract Two : Cell { assume true; guarantee r = 2; }\n"
-        "contract Three : Cell { assume true; guarantee r = 3; }\n"
-        "refinement R : compose pair(One as c1, Two as c2) <: Three;\n"
-    )
+    spec.write_text(CELL_SPEC + ";\n")
     code = main(["check", str(spec), "--oracle", "--grid", "r=0,1,2,3", "--format", "json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     oracle = report["obligations"][0]["oracle"]
     assert oracle["finite_cross_check"] == "agree"
     assert oracle["min_characterization"] is True
+
+
+@pytest.mark.parametrize(
+    "block,flags",
+    [(";", ["--grid", "r=1,1"]), (" { r = 1, 1; }", [])],
+    ids=["grid-flag", "grid-block"],
+)
+def test_duplicate_grid_values_skip_the_oracle(tmp_path, capsys, block, flags):
+    spec = tmp_path / "cell.scspec"
+    spec.write_text(CELL_SPEC + block + "\n")
+    code = main(["check", str(spec), "--oracle", "--format", "json", *flags])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["obligations"][0]["oracle"] == {"skipped": "duplicate grid values for variable r"}
+    jsonschema.validate(report, SCHEMA)
+
+
+def test_corpus_oracle_report_matches_golden(capsys, monkeypatch):
+    """The corpus report, read from stdin so that inputs[].path is stable,
+    equals the committed one byte for byte."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(pathlib.Path(CORPUS).read_text()))
+    main(["check", "-", "--oracle", "--deterministic", "--format", "json"])
+    assert capsys.readouterr().out.encode() == GOLDEN.read_bytes()

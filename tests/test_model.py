@@ -9,6 +9,10 @@ from helpers import CELL, component, contract, expr, grid
 from sccheck.model import (
     And,
     BoolLit,
+    Contract,
+    Exists,
+    FiniteGrid,
+    Forall,
     GridIncompatible,
     GridIncomplete,
     Implies,
@@ -99,6 +103,24 @@ def test_interpret_missing_variable_raises():
     c = contract("C", RESISTOR, "true", "r = 1")
     with pytest.raises(GridIncomplete):
         interpret_finite(c, grid(r=[0, 1]))
+
+
+def test_grid_lookup_falls_back_to_the_bare_field_name():
+    g = FiniteGrid.of({"r": [0, 1], "c2.r": [5]})
+    assert g.lookup("c2.r") == (Fraction(5),)
+    assert g.lookup("c1.r") == g.lookup("r") == (Fraction(0), Fraction(1))
+    with pytest.raises(GridIncomplete):
+        g.lookup("c1.u")
+
+
+def test_interpret_quantifiers_range_over_the_grid():
+    # c1.r has no entry of its own, so it ranges over the values of r
+    c = Contract(
+        "C", CELL, Exists(("c1.r",), expr("r = 2 * c1.r")), Forall(("c1.r",), expr("c1.r <= r"))
+    )
+    envs, impls = vals(interpret_finite(c, grid(r=[0, 1, 2])))
+    assert envs == {(Fraction(0),), (Fraction(2),)}
+    assert impls == {(Fraction(1),), (Fraction(2),)}
 
 
 # ---------------------------------------------------------------------------
