@@ -29,7 +29,7 @@ from .algebra import (
     verify_min_characterization,
 )
 from .diagnostics import Diagnostic, has_errors
-from .engine import EngineOptions, Interval, Status, Verdict
+from .engine import DEFAULT_DNF_CAP, DEFAULT_SAMPLES, EngineOptions, Interval, Status, Verdict
 from .loader import Obligation, Universe, elaborate
 from .model import FiniteGrid, GridIncomplete, interpret_finite, refines_finite
 from .parser import merge_documents, parse_only, resolve_document
@@ -42,35 +42,38 @@ def _parse_rational(text: str) -> Fraction:
         raise ValueError(f"not an exact rational: {text.strip()!r}") from None
 
 
-def parse_grid_flag(text: str) -> dict[str, tuple[Fraction, ...]]:
-    """Parse "var=a,b,c;var2=d,e" into a grid hint mapping."""
-    out: dict[str, tuple[Fraction, ...]] = {}
+def _split_entries(text: str, what: str) -> list[tuple[str, str]]:
+    """Split "name=value;name2=value2" into stripped (name, value) pairs."""
+    out: list[tuple[str, str]] = []
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
         if "=" not in part:
-            raise ValueError(f"bad grid entry: {part!r}")
-        var, values = part.split("=", 1)
-        out[var.strip()] = tuple(_parse_rational(v) for v in values.split(","))
+            raise ValueError(f"bad {what} entry: {part!r}")
+        name, value = part.split("=", 1)
+        out.append((name.strip(), value.strip()))
     return out
 
 
+def parse_grid_flag(text: str) -> dict[str, tuple[Fraction, ...]]:
+    """Parse "var=a,b,c;var2=d,e" into a grid hint mapping."""
+    return {
+        var: tuple(_parse_rational(v) for v in values.split(","))
+        for var, values in _split_entries(text, "grid")
+    }
+
+
 def parse_box_flag(text: str) -> dict[str, Interval]:
-    """Parse "var=[lo,hi];var2=[lo,hi]" into interval bounds."""
+    """Parse "var=[lo,hi];var2=[lo,hi]" into a sampling box."""
     out: dict[str, Interval] = {}
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ValueError(f"bad box entry: {part!r}")
-        var, rng = part.split("=", 1)
-        rng = rng.strip()
+    for var, rng in _split_entries(text, "box"):
         if not (rng.startswith("[") and rng.endswith("]") and "," in rng):
             raise ValueError(f"bad box range: {rng!r}")
-        lo_text, hi_text = rng[1:-1].split(",", 1)
-        out[var.strip()] = Interval(_parse_rational(lo_text), _parse_rational(hi_text))
+        lo, hi = (_parse_rational(end) for end in rng[1:-1].split(",", 1))
+        if lo > hi:
+            raise ValueError(f"empty box range for {var}: {rng!r}")
+        out[var] = Interval(lo, hi)
     return out
 
 
@@ -104,18 +107,9 @@ def exit_code_for(verdicts: Sequence[Verdict], errors: bool) -> int:
 class CheckOptions:
     obligations: tuple[str, ...] = ()
     grid: Optional[dict[str, tuple[Fraction, ...]]] = None
-    dnf_cap: int = 4096
-    samples: int = 10000
-    seed: int = 0
-    box: Optional[dict[str, Interval]] = None
+    engine: EngineOptions = EngineOptions()
     deterministic: bool = False
     oracle: bool = False
-
-
-def _engine_options(opts: CheckOptions) -> EngineOptions:
-    return EngineOptions(
-        dnf_cap=opts.dnf_cap, samples=opts.samples, seed=opts.seed, box=opts.box
-    )
 
 
 def _oracle_grid(composed: ComposedContract, hint) -> FiniteGrid:
@@ -163,9 +157,9 @@ def run_check(paths: Sequence[str], opts: CheckOptions) -> tuple[int, dict]:
         "version": __version__,
         "inputs": [],
         "config": {
-            "seed": opts.seed,
-            "samples": opts.samples,
-            "dnf_cap": opts.dnf_cap,
+            "seed": opts.engine.seed,
+            "samples": opts.engine.samples,
+            "dnf_cap": opts.engine.dnf_cap,
             "deterministic": opts.deterministic,
             "oracle": opts.oracle,
         },
@@ -217,7 +211,6 @@ def run_check(paths: Sequence[str], opts: CheckOptions) -> tuple[int, dict]:
                     Diagnostic("error", "unknown-obligation", f"no such obligation: {n}")
                 )
             selected = [by_name[n] for n in opts.obligations if n in by_name]
-        engine_opts = _engine_options(opts)
         for obligation in sorted(selected, key=lambda o: o.name):
             started = time.monotonic()
             entry: dict = {"name": obligation.name, "operator": obligation.operator.name}
@@ -228,15 +221,15 @@ def run_check(paths: Sequence[str], opts: CheckOptions) -> tuple[int, dict]:
                 checks.append({"kind": kind, "subject": subject, "verdict": _verdict_json(v)})
 
             record("types", obligation.name, Verdict(Status.PROVED))
-            composed = compose_contracts(obligation.operator, obligation.bindings, engine_opts)
+            composed = compose_contracts(obligation.operator, obligation.bindings, opts.engine)
             entry["projection"] = composed.projection
             leaves = [contract for _, contract in obligation.bindings] + [obligation.abstract]
             subjects = [(c.name, c) for c in leaves] + [(composed.contract.name, composed)]
             for name, subject in subjects:
                 for kind, check in (("compatibility", check_compatibility), ("consistency", check_consistency)):
-                    record(kind, name, check(subject, engine_opts))
+                    record(kind, name, check(subject, opts.engine))
 
-            refinement = check_refinement(composed, obligation.abstract, engine_opts)
+            refinement = check_refinement(composed, obligation.abstract, opts.engine)
             record("refinement", obligation.abstract.name, refinement)
             entry["checks"] = checks
 
@@ -320,8 +313,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check.add_argument("files", nargs="+", help="input .scspec files, or - for stdin")
     check.add_argument("--obligation", action="append", default=[], help="check only this obligation (repeatable)")
     check.add_argument("--grid", default=None, help='oracle grid, e.g. "r=0,1,2,3;u=0"')
-    check.add_argument("--dnf-cap", type=int, default=4096)
-    check.add_argument("--samples", type=int, default=10000)
+    check.add_argument("--dnf-cap", type=int, default=DEFAULT_DNF_CAP)
+    check.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     check.add_argument("--seed", type=int, default=0)
     check.add_argument("--box", default=None, help='sampling box, e.g. "r=[0,10];u=[-5,5]"')
     check.add_argument("--format", choices=("text", "json"), default="text")
@@ -333,15 +326,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        if args.samples < 1:
-            raise ValueError("--samples must be >= 1")
+        for flag, value in (("--samples", args.samples), ("--dnf-cap", args.dnf_cap)):
+            if value < 1:
+                raise ValueError(f"{flag} must be >= 1")
         opts = CheckOptions(
             obligations=tuple(args.obligation),
             grid=parse_grid_flag(args.grid) if args.grid else None,
-            dnf_cap=args.dnf_cap,
-            samples=args.samples,
-            seed=args.seed,
-            box=parse_box_flag(args.box) if args.box else None,
+            engine=EngineOptions(
+                dnf_cap=args.dnf_cap,
+                samples=args.samples,
+                seed=args.seed,
+                box=parse_box_flag(args.box) if args.box else None,
+            ),
             deterministic=args.deterministic,
             oracle=args.oracle,
         )

@@ -5,10 +5,12 @@ The decision ladder, in order:
 1. linear formulas are decided exactly by Fourier-Motzkin elimination on
    the DNF, with witnesses rebuilt by back-substitution through the
    elimination stack;
-2. otherwise exact-rational interval contraction tries to prove the
-   formula empty over a (caller-provided or default) box;
+2. otherwise exact-rational interval contraction tries to prove each
+   nonlinear disjunct empty from the bounds its own atoms imply, with
+   every variable starting unbounded;
 3. otherwise deterministic seeded sampling tries to find a satisfying
-   valuation, evaluated exactly;
+   valuation, evaluated exactly; the optional box only steers where it
+   draws (default +-10^6 per variable) and never proves or refutes;
 4. otherwise the verdict is an honest Unknown.
 
 Existential quantifiers in positive position are pulled to the front and
@@ -291,31 +293,23 @@ def _contract_once(atoms: Sequence[Cmp], box: dict[str, Interval]) -> tuple[bool
     return changed, False
 
 
-def _interval_refute(atoms: Sequence[Cmp], base_box: Box, rounds: int = 8) -> tuple[bool, bool]:
-    """Try to prove a conjunction of atoms empty over the box.
-
-    Returns (refuted, singular). A singular division anywhere disables
-    refutation for that conjunction.
-    """
+def _interval_refute(atoms: Sequence[Cmp], rounds: int = 8) -> bool:
+    """Try to prove a conjunction of atoms empty from the bounds its own
+    atoms imply; every variable starts unbounded. An atom whose enclosure
+    has a singular division is skipped."""
     box: dict[str, Interval] = {}
-    for v in sorted(set().union(*(free_vars(a) for a in atoms)) if atoms else set()):
-        box[v] = base_box.get(v, FULL_INTERVAL)
-    saw_singular = False
     for _ in range(rounds):
         changed, empty = _contract_once(atoms, box)
         if empty:
-            return True, saw_singular
+            return True
         if not changed:
             break
     for atom in atoms:
         lv, sl = interval_eval(atom.left, box)
         rv, sr = interval_eval(atom.right, box)
-        if sl or sr:
-            saw_singular = True
-            continue
-        if not _atom_feasible(atom.op, lv, rv):
-            return True, saw_singular
-    return False, saw_singular
+        if not (sl or sr or _atom_feasible(atom.op, lv, rv)):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -760,16 +754,7 @@ class EngineOptions:
     dnf_cap: int = DEFAULT_DNF_CAP
     samples: int = DEFAULT_SAMPLES
     seed: int = 0
-    box: Optional[Mapping[str, Interval]] = None
-    box_bound: Fraction = DEFAULT_BOX_BOUND
-
-    def box_for(self, var: str) -> Interval:
-        if self.box is not None and var in self.box:
-            return self.box[var]
-        return Interval(-self.box_bound, self.box_bound)
-
-    def full_box(self, variables: Sequence[str]) -> dict[str, Interval]:
-        return {v: self.box_for(v) for v in variables}
+    box: Optional[Mapping[str, Interval]] = None  # where sampling draws; never proves or refutes
 
 
 # ---------------------------------------------------------------------------
@@ -904,12 +889,6 @@ def enumerate_models(formula: Assertion, grid: FiniteGrid) -> frozenset[Valuatio
 # ---------------------------------------------------------------------------
 # the decision ladder
 
-def _disjunct_formula(d: Disjunct) -> Assertion:
-    if isinstance(d, NonlinearDisjunct):
-        return conj(list(d.atoms))
-    return system_to_assertion(d)
-
-
 def system_to_assertion(system: LinearSystem) -> Assertion:
     """Render a linear system back into an assertion tree."""
     if system.trivially_unsat():
@@ -941,65 +920,47 @@ def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOption
     except UndecidableQuantifier:
         return SatResult("unknown", reason="universally quantified residue")
     matrix_vars = sorted(free_vars(matrix))
-    box = opts.full_box(matrix_vars)
-
-    try:
-        dnf = normalize(matrix, opts.dnf_cap)
-    except DnfCapExceeded as exc:
-        witness = sample_falsify(matrix, box, opts.samples, opts.seed)
-        if witness is not None:
-            return SatResult("sat", witness=witness)
-        return SatResult("unknown", reason=str(exc))
-
-    if not dnf.disjuncts:
-        return SatResult("unsat")
 
     def complete(witness: dict[str, Fraction]) -> Optional[dict[str, Fraction]]:
         full = dict(witness)
         for v in matrix_vars:
             full.setdefault(v, Fraction(0))
         try:
-            if eval_assertion(matrix, full):
-                return full
+            return full if eval_assertion(matrix, full) else None
         except UndefinedTerm:
             return None
-        return None
 
-    # a linear disjunct can be satisfiable while its particular witness
-    # makes a sibling disjunct's division undefined; under the strict
-    # evaluation semantics such a point is not a model of the matrix, so
-    # the disjunct goes to the sampling pool instead
-    unevaluable: list[LinearSystem] = []
-    open_disjuncts: list[NonlinearDisjunct] = []
-    for d in dnf.disjuncts:
-        if isinstance(d, LinearSystem):
-            w = fm_witness(d)
-            if w is not None:
+    # whatever the exact rungs leave open goes to one sampling pool
+    try:
+        dnf = normalize(matrix, opts.dnf_cap)
+    except DnfCapExceeded as exc:
+        pool, reason = [matrix], str(exc)
+    else:
+        pool, reason = [], "not falsified within budget"
+        # linear disjuncts first, so a satisfiable one ends the query before
+        # any interval work
+        for d in sorted(dnf.disjuncts, key=lambda d: isinstance(d, NonlinearDisjunct)):
+            if isinstance(d, NonlinearDisjunct):
+                if not _interval_refute(d.atoms):
+                    pool.append(conj(list(d.atoms)))
+            elif (w := fm_witness(d)) is not None:
                 full = complete(w)
                 if full is not None:
                     return SatResult("sat", witness=full)
-                unevaluable.append(d)
-        else:
-            open_disjuncts.append(d)
+                # a guard only: under strong-Kleene evaluation a model of a
+                # disjunct is a model of the matrix
+                pool.append(system_to_assertion(d))
+        if not pool:
+            return SatResult("unsat")
 
-    undecided: list[Disjunct] = []
-    for d in open_disjuncts:
-        refuted, _singular = _interval_refute(d.atoms, box)
-        if not refuted:
-            undecided.append(d)
-
-    if not undecided and not unevaluable:
-        return SatResult("unsat")
-
-    pool: list[Disjunct] = undecided + list(unevaluable)
     per_budget = max(1, opts.samples // len(pool))
-    for idx, d in enumerate(pool):
-        witness = sample_falsify(_disjunct_formula(d), box, per_budget, opts.seed + idx)
+    for idx, candidate in enumerate(pool):
+        witness = sample_falsify(candidate, opts.box, per_budget, opts.seed + idx)
         if witness is not None:
             full = complete(witness)
             if full is not None:
                 return SatResult("sat", witness=full)
-    return SatResult("unknown", reason="not falsified within budget")
+    return SatResult("unknown", reason=reason)
 
 
 def check_implication(

@@ -63,7 +63,14 @@ def test_parse_box_flag():
 
 @pytest.mark.parametrize(
     "flags",
-    [["--grid", "r=x"], ["--grid", "r=1/0"], ["--box", "r=[1]"], ["--samples", "0", "--dnf-cap", "0"]],
+    [
+        ["--grid", "r=x"],
+        ["--grid", "r=1/0"],
+        ["--box", "r=[1]"],
+        ["--samples", "0", "--dnf-cap", "0"],
+        ["--box", "r=[2,1]"],
+        ["--dnf-cap", "-5"],
+    ],
 )
 def test_bad_flag_values_are_input_errors(flags, capsys):
     code = main(["check", CORPUS, *flags])
@@ -158,6 +165,23 @@ def test_oracle_cross_checks_agree(capsys):
         oracle = ob["oracle"]
         assert oracle["finite_cross_check"] == "agree"
         assert oracle["min_characterization"] is True
+
+
+def test_bound_outside_the_contract_never_falsifies(tmp_path, capsys):
+    # x = y = 10^7 implements the guarantee, beyond the default sampling box
+    spec = tmp_path / "square.scspec"
+    spec.write_text(
+        "quantity q;\n"
+        "component P { x: q; y: q; }\n"
+        "operator id(a: P) -> P { x = a.x; y = a.y; }\n"
+        "contract C : P { assume true; guarantee x * y = 100000000000000 and x = y; }\n"
+        "refinement R : compose id(C as c) <: C;\n"
+    )
+    code = main(["check", str(spec), "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code != 1
+    assert not report["diagnostics"]
+    assert all(c["verdict"]["status"] != "falsified" for c in report["obligations"][0]["checks"])
 
 
 def test_obligations_sorted_lexicographically(capsys):

@@ -372,34 +372,37 @@ def test_dnf_cap_degrades_to_sampling():
     assert all(v != 0 for v in result.witness.values())
 
 
+def _rand_term(rng, names, depth):
+    if depth == 0 or rng.random() < 0.45:
+        return rng.choice(names + [str(rng.randint(-3, 3))])
+    op = rng.choice("++-*/")
+    return f"({_rand_term(rng, names, depth - 1)} {op} {_rand_term(rng, names, depth - 1)})"
+
+
+def _rand_formula(rng, names, depth):
+    """Mixed linear/nonlinear formula text with divisions, negations and
+    implications."""
+    if depth == 0 or rng.random() < 0.4:
+        if rng.random() < 0.1:
+            return rng.choice(["true", "false"])
+        op = rng.choice(["<=", "<", "=", ">=", ">", "!="])
+        return f"{_rand_term(rng, names, 2)} {op} {_rand_term(rng, names, 2)}"
+    a = _rand_formula(rng, names, depth - 1)
+    b = _rand_formula(rng, names, depth - 1)
+    if rng.random() < 0.2:
+        return f"not ({a})"
+    return f"({a}) {rng.choice(['and', 'or', 'implies'])} ({b})"
+
+
 def test_ladder_never_contradicts_enumeration_oracle():
-    """Randomized cross-check over mixed linear/nonlinear formulas with
-    divisions, negations, and implications: sat witnesses re-evaluate
-    exactly and unsat claims survive grid enumeration."""
+    """Randomized cross-check over mixed linear/nonlinear formulas: sat
+    witnesses re-evaluate exactly and unsat claims survive grid
+    enumeration."""
     rng = random.Random(31337)
-
-    def rand_term(names, depth):
-        if depth == 0 or rng.random() < 0.45:
-            return rng.choice(names + [str(rng.randint(-3, 3))])
-        op = rng.choice("++-*/")
-        return f"({rand_term(names, depth - 1)} {op} {rand_term(names, depth - 1)})"
-
-    def rand_formula(names, depth):
-        if depth == 0 or rng.random() < 0.4:
-            if rng.random() < 0.1:
-                return rng.choice(["true", "false"])
-            op = rng.choice(["<=", "<", "=", ">=", ">", "!="])
-            return f"{rand_term(names, 2)} {op} {rand_term(names, 2)}"
-        a = rand_formula(names, depth - 1)
-        b = rand_formula(names, depth - 1)
-        if rng.random() < 0.2:
-            return f"not ({a})"
-        return f"({a}) {rng.choice(['and', 'or', 'implies'])} ({b})"
-
     halves = [Fraction(k, 2) for k in range(-6, 7)]
     for trial in range(400):
         names = [f"x{j}" for j in range(rng.randint(1, 3))]
-        formula = expr(rand_formula(names, rng.randint(1, 3)))
+        formula = expr(_rand_formula(rng, names, rng.randint(1, 3)))
         result = decide_satisfiability(formula, EngineOptions(samples=200, seed=trial))
         fv = sorted(free_vars(formula))
         if result.status == "sat":
@@ -418,3 +421,37 @@ def test_dnf_cap_on_unsat_formula_surfaces_as_unknown():
     assert "16" in result.reason
     verdict = check_implication(expr(text), expr("false"), EngineOptions(dnf_cap=16, samples=200))
     assert verdict.status is Status.UNKNOWN
+
+
+# ---------------------------------------------------------------------------
+# the box steers sampling and never refutes
+
+@pytest.mark.parametrize(
+    "text,opts",
+    [
+        ("x * x > 100000000000000", EngineOptions()),  # x = 2*10^7
+        ("x * y = 100000000000000 and x = y", EngineOptions()),  # x = y = 10^7
+        ("x * x = 4", EngineOptions(box={"x": Interval(Fraction(0), Fraction(1))})),  # x = 2
+    ],
+    ids=["beyond-default-bound", "square-beyond-default-bound", "outside-user-box"],
+)
+def test_satisfiable_outside_the_box_is_never_unsat(text, opts):
+    formula = expr(text)
+    result = decide_satisfiability(formula, opts)
+    assert result.status != "unsat"
+    if result.status == "sat":
+        full = {v: Fraction(0) for v in free_vars(formula)}
+        full.update(result.witness)
+        assert eval_assertion(formula, full)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**9), st.integers(-4, 3), st.integers(0, 3))
+def test_box_never_changes_whether_a_formula_is_unsat(seed, lo, width):
+    rng = random.Random(seed)
+    names = [f"x{j}" for j in range(rng.randint(1, 3))]
+    formula = expr(_rand_formula(rng, names, rng.randint(1, 3)))
+    b = {v: Interval(Fraction(lo), Fraction(lo + width)) for v in names}
+    boxed = decide_satisfiability(formula, EngineOptions(samples=50, box=b))
+    plain = decide_satisfiability(formula, EngineOptions(samples=50))
+    assert (boxed.status == "unsat") == (plain.status == "unsat")
