@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .engine import (
     DnfCapExceeded,
@@ -54,7 +53,6 @@ from .model import (
     interpret_finite,
     qualify,
     rename_vars,
-    satisfying_valuations,
     simplify_bools,
     FALSE,
     TRUE,
@@ -273,13 +271,10 @@ def interpret_composed_finite(
 # the composition characterization, checked by enumeration
 
 def verify_min_characterization(
-    composed: ComposedContract,
-    parts: Sequence[Contract],
-    op: CompositionOperator,
-    grid: FiniteGrid,
+    composed: ComposedContract, grid: FiniteGrid, interp: Interpretation
 ) -> bool:
-    """Validate the composed contract against the defining property of
-    composition on a finite grid.
+    """Validate ``interp``, the composed contract's interpretation on the
+    grid, against the defining property of composition.
 
     (a) For every parent environment of the composed contract and every
         tuple of child implementations: each child valuation consistent
@@ -290,88 +285,49 @@ def verify_min_characterization(
         no strictly refinement-smaller (environments, implementations)
         pair also satisfies (a); larger spaces check only (a).
     """
-    if len(parts) != len(op.parameters) or len(parts) != len(composed.bindings):
-        raise ArityMismatch("parts must match the operator's parameters")
-
-    parent_fields = op.result.field_names()
-    pgrid = grid.restrict(parent_fields)
-    parent_vals = list(pgrid.valuations())
-    binding_names = [b for b, _ in composed.bindings]
-
+    parent_vals = list(interp.grid.valuations())
     child_grids = [
         FiniteGrid.of({f: grid.lookup(f"{bname}.{f}") for f in part.subject.field_names()})
-        for bname, part in zip(binding_names, parts)
+        for bname, part in composed.bindings
     ]
-    total = pgrid.point_count()
+    total = interp.grid.point_count()
     for g in child_grids:
         total *= g.point_count()
     if total > 2**16:
         raise GridTooLarge(f"{total} assemblies exceed the 2^16 guard")
+    children = [interpret_finite(part, g) for (_, part), g in zip(composed.bindings, child_grids)]
 
-    # child valuations, environments and implementations, in grid order
-    child_spaces = [[freeze_valuation(v) for v in g.valuations()] for g in child_grids]
-    child_envs = [satisfying_valuations(part.assumption, g) for part, g in zip(parts, child_grids)]
-    child_impls: list[list[Valuation]] = []
-    for part, g, space in zip(parts, child_grids, child_spaces):
-        impls = satisfying_valuations(Implies(part.assumption, part.guarantee), g)
-        child_impls.append([v for v in space if v in impls])
-
-    glue = composed.glue
-
-    def phi_holds(parent_env: Mapping[str, Fraction], children: Sequence[Valuation]) -> bool:
-        merged = dict(parent_env)
-        for bname, val in zip(binding_names, children):
-            for f, x in val:
-                merged[f"{bname}.{f}"] = x
-        try:
-            return eval_assertion(glue, merged)
-        except UndefinedTerm:
-            return False
-
-    tuples = list(itertools.product(*child_impls))
-
-    # ok_env[i]: with parent valuation i as environment, every child
-    # valuation consistent with each assembly lies in that child's envs
-    ok_mask = 0
-    for i, pv in enumerate(parent_vals):
-        ok = True
-        for t in tuples:
-            for k, space in enumerate(child_spaces):
-                for v_k in space:
-                    assembled = list(t)
-                    assembled[k] = v_k
-                    if phi_holds(pv, assembled) and v_k not in child_envs[k]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            ok_mask |= 1 << i
-
-    # union of parent projections of all child implementation tuples
-    u_mask = 0
-    for t in tuples:
+    def parents(assembly: Sequence[Valuation]) -> int:
+        """Bitmask of the parent valuations the glue relates to the assembly."""
+        merged = {f"{b}.{f}": x for (b, _), val in zip(composed.bindings, assembly) for f, x in val}
+        mask = 0
         for i, pv in enumerate(parent_vals):
-            if phi_holds(pv, t):
-                u_mask |= 1 << i
+            try:
+                if eval_assertion(composed.glue, {**pv, **merged}):
+                    mask |= 1 << i
+            except UndefinedTerm:
+                pass
+        return mask
 
-    interp = interpret_composed_finite(composed, grid)
+    # u_mask: parents of some child implementation tuple; bad_mask: parents
+    # of an assembly that puts one child outside its environments
+    outside = [
+        [v for v in map(freeze_valuation, g.valuations()) if v not in c.environments]
+        for g, c in zip(child_grids, children)
+    ]
+    u_mask = bad_mask = 0
+    for t in itertools.product(*(c.implementations for c in children)):
+        u_mask |= parents(t)
+        for k, vals in enumerate(outside):
+            for v_k in vals:
+                bad_mask |= parents(t[:k] + (v_k,) + t[k + 1:])
+
     index = {freeze_valuation(pv): i for i, pv in enumerate(parent_vals)}
-    e_mask = 0
-    for v in interp.environments:
-        e_mask |= 1 << index[v]
-    m_mask = 0
-    for v in interp.implementations:
-        m_mask |= 1 << index[v]
+    e_mask = sum(1 << index[v] for v in interp.environments)
+    m_mask = sum(1 << index[v] for v in interp.implementations)
 
     def clause_a(e: int, m: int) -> bool:
-        if e & ~ok_mask:
-            return False
-        if e != 0 and (u_mask & ~m):
-            return False
-        return True
+        return not (e & bad_mask) and (e == 0 or not (u_mask & ~m))
 
     if not clause_a(e_mask, m_mask):
         return False

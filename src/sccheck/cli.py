@@ -122,29 +122,36 @@ def _oracle_grid(composed: ComposedContract, hint) -> FiniteGrid:
     return FiniteGrid.of({name: hint_grid.lookup(name) for name in names})
 
 
+def _off_grid(witness, grid: FiniteGrid) -> bool:
+    """Whether some witness value is not a grid point; a ``~k`` suffix
+    marks a renamed copy of the grid variable before it."""
+    return any(value not in grid.lookup(name.split("~", 1)[0]) for name, value in witness.items())
+
+
 def _run_oracle(obligation: Obligation, composed: ComposedContract, hint, refinement: Verdict) -> dict:
     out: dict = {}
     try:
         grid = _oracle_grid(composed, hint)
     except (GridIncomplete, ValueError) as exc:  # ValueError: empty or duplicate grid values
         return {"skipped": str(exc)}
+    concrete = interpret_composed_finite(composed, grid)
     try:
-        concrete = interpret_composed_finite(composed, grid)
-        abstract = interpret_finite(obligation.abstract, grid)
-        finite = refines_finite(concrete, abstract)
+        finite = refines_finite(concrete, interpret_finite(obligation.abstract, grid))
         out["finite_refines"] = finite
+        # only proved implies finite refinement: the grid shrinks the
+        # composed implementations and grows its environments
         if refinement.status is Status.UNKNOWN:
             out["finite_cross_check"] = "skipped: refinement unknown"
+        elif finite == (refinement.status is Status.PROVED):
+            out["finite_cross_check"] = "agree"
+        elif finite and _off_grid(refinement.witness or {}, grid):
+            out["finite_cross_check"] = "skipped: counterexample off the grid"
         else:
-            agrees = finite == (refinement.status is Status.PROVED)
-            out["finite_cross_check"] = "agree" if agrees else "disagree"
+            out["finite_cross_check"] = "disagree"
     except GridIncomplete as exc:
         out["finite_cross_check"] = f"skipped: {exc}"
     try:
-        parts = [c for _, c in composed.bindings]
-        out["min_characterization"] = verify_min_characterization(
-            composed, parts, obligation.operator, grid
-        )
+        out["min_characterization"] = verify_min_characterization(composed, grid, concrete)
     except (GridTooLarge, GridIncomplete) as exc:
         out["min_characterization"] = f"skipped: {exc}"
     return out
@@ -170,16 +177,20 @@ def run_check(paths: Sequence[str], opts: CheckOptions) -> tuple[int, dict]:
     diagnostics: list[Diagnostic] = []
     documents = []
     for path in paths:
-        if path == "-":
-            text = sys.stdin.read()
-        else:
-            try:
+        try:
+            if path == "-":
+                text = sys.stdin.read()
+            else:
                 with open(path, "r", encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
-                diagnostics.append(Diagnostic("error", "io", f"cannot read {path}: {exc}"))
-                continue
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            # stdin may carry undecodable bytes as surrogates, which fail here
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        except UnicodeError:
+            diagnostics.append(Diagnostic("error", "io", f"cannot read {path}: not valid UTF-8"))
+            continue
+        except OSError as exc:
+            diagnostics.append(Diagnostic("error", "io", f"cannot read {path}: {exc}"))
+            continue
         report["inputs"].append({"path": path, "sha256": digest})
         result = parse_only(text)
         diagnostics.extend(d.with_file(path) for d in result.diagnostics)
@@ -205,12 +216,13 @@ def run_check(paths: Sequence[str], opts: CheckOptions) -> tuple[int, dict]:
         selected = universe.obligations
         if opts.obligations:
             by_name = {o.name: o for o in selected}
-            missing = [n for n in opts.obligations if n not in by_name]
+            wanted = dict.fromkeys(opts.obligations)  # repeated names once, in order
+            missing = [n for n in wanted if n not in by_name]
             for n in missing:
                 diagnostics.append(
                     Diagnostic("error", "unknown-obligation", f"no such obligation: {n}")
                 )
-            selected = [by_name[n] for n in opts.obligations if n in by_name]
+            selected = [by_name[n] for n in wanted if n in by_name]
         for obligation in sorted(selected, key=lambda o: o.name):
             started = time.monotonic()
             entry: dict = {"name": obligation.name, "operator": obligation.operator.name}

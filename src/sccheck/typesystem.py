@@ -79,12 +79,6 @@ class UnknownField(TypeSystemError):
         super().__init__(f"unknown field: {name}", loc)
 
 
-class UnknownBinding(TypeSystemError):
-    def __init__(self, name: str, loc: Loc | None = None):
-        self.name = name
-        super().__init__(f"unknown parameter binding: {name}", loc)
-
-
 class NoMatchingOverload(TypeSystemError):
     def __init__(self, name: str, arg_types: Sequence[str]):
         self.name = name

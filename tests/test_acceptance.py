@@ -122,12 +122,12 @@ def test_criterion_5_min_characterization_oracle():
         started = time.monotonic()
         g = grid(r=[0, 1, 2, 3])  # 4-point parent space, minimality active
         composed = compose_contracts(series_op(), [("c1", C1), ("c2", C2)])
-        assert verify_min_characterization(composed, [C1, C2], series_op(), g)
+        assert verify_min_characterization(composed, g, interpret_composed_finite(composed, g))
 
         weakened = replace(
             composed, contract=replace(composed.contract, guarantee=expr("true"))
         )
-        assert not verify_min_characterization(weakened, [C1, C2], series_op(), g)
+        assert not verify_min_characterization(weakened, g, interpret_composed_finite(weakened, g))
 
         strengthened = replace(
             composed,
@@ -136,7 +136,7 @@ def test_criterion_5_min_characterization_oracle():
                 assumption=And(composed.contract.assumption, expr("false")),
             ),
         )
-        assert not verify_min_characterization(strengthened, [C1, C2], series_op(), g)
+        assert not verify_min_characterization(strengthened, g, interpret_composed_finite(strengthened, g))
         assert time.monotonic() - started < 10.0
 
 

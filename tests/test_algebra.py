@@ -239,7 +239,7 @@ def test_binding_order_sensitivity_matches_glue_symmetry():
 def test_min_characterization_holds_for_series():
     composed = compose(series_op(), C1, C2)
     g = grid(r=[0, 1, 2, 3])
-    assert verify_min_characterization(composed, [C1, C2], series_op(), g)
+    assert verify_min_characterization(composed, g, interpret_composed_finite(composed, g))
 
 
 def test_min_characterization_rejects_weakened_guarantee():
@@ -250,7 +250,7 @@ def test_min_characterization_rejects_weakened_guarantee():
         composed, contract=replace(composed.contract, guarantee=BoolLit(True))
     )
     g = grid(r=[0, 1, 2, 3])
-    assert not verify_min_characterization(weakened, [C1, C2], series_op(), g)
+    assert not verify_min_characterization(weakened, g, interpret_composed_finite(weakened, g))
 
 
 def test_min_characterization_rejects_strengthened_assumption():
@@ -264,14 +264,14 @@ def test_min_characterization_rejects_strengthened_assumption():
         ),
     )
     g = grid(r=[0, 1, 2, 3])
-    assert not verify_min_characterization(strengthened, [C1, C2], series_op(), g)
+    assert not verify_min_characterization(strengthened, g, interpret_composed_finite(strengthened, g))
 
 
 def test_min_characterization_grid_guard():
     composed = compose(series_op(), C1, C2)
     big = grid(r=list(range(50)))
     with pytest.raises(GridTooLarge):
-        verify_min_characterization(composed, [C1, C2], series_op(), big)
+        verify_min_characterization(composed, big, interpret_composed_finite(composed, big))
 
 
 # ---------------------------------------------------------------------------

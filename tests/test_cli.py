@@ -88,6 +88,9 @@ def test_series_obligation_proved_exit_zero(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "refinement Sys: proved" in out
+    # a repeated obligation is checked once
+    assert main(["check", CORPUS, "--obligation", "SysBySeries", "--obligation", "SysBySeries"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_parallel_obligation_falsified_exit_one(capsys):
@@ -167,6 +170,42 @@ def test_oracle_cross_checks_agree(capsys):
         assert oracle["min_characterization"] is True
 
 
+def test_oracle_interprets_each_composed_contract_once(monkeypatch):
+    import sccheck.algebra
+    import sccheck.cli
+
+    calls = []
+    for module in (sccheck.algebra, sccheck.cli):
+        def counted(*args, _original=module.interpret_composed_finite):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(module, "interpret_composed_finite", counted)
+    run_check([CORPUS], CheckOptions(deterministic=True, oracle=True))
+    assert len(calls) == 3  # one per corpus obligation
+
+
+def test_falsified_refinement_off_the_grid_is_no_disagreement(tmp_path, capsys):
+    # the environment-side counterexample (x=55/38, y=-8) lies off the grid,
+    # where the finite refinement holds
+    spec = tmp_path / "two.scspec"
+    spec.write_text(
+        "quantity q;\n"
+        "component T { x: q; y: q; }\n"
+        "operator two(a: T, b: T) -> T { x = 1 / (1 / a.x + 1 / b.x); y = a.y; b.y = a.y; }\n"
+        "contract C : T { assume x >= 1; guarantee x <= 2 * y; }\n"
+        "refinement R : compose two(C as c1, C as c2) <: C { x = 1, 2; y = 0, 1; }\n"
+    )
+    code = main(["check", str(spec), "--oracle", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    [ob] = report["obligations"]
+    refinement = ob["checks"][-1]["verdict"]
+    assert refinement["status"] == "falsified" and refinement["side"] == "environment"
+    assert ob["oracle"]["finite_refines"] is True
+    assert ob["oracle"]["finite_cross_check"] == "skipped: counterexample off the grid"
+
+
 def test_bound_outside_the_contract_never_falsifies(tmp_path, capsys):
     # x = y = 10^7 implements the guarantee, beyond the default sampling box
     spec = tmp_path / "square.scspec"
@@ -201,6 +240,22 @@ def test_text_report_marks(capsys):
 def test_missing_file_is_an_error(capsys):
     code = main(["check", "no-such-file.scspec"])
     assert code == 3
+
+
+@pytest.mark.parametrize("source", ["file", "strict", "surrogateescape"])
+def test_non_utf8_input_is_an_io_error(tmp_path, capsys, monkeypatch, source):
+    data = b"quantity q;\xe9\n"
+    if source == "file":
+        path = str(tmp_path / "latin1.scspec")
+        pathlib.Path(path).write_bytes(data)
+    else:  # stdin decoded with these errors
+        path = "-"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=source))
+    assert main(["check", path, "--format", "json"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    jsonschema.validate(report, SCHEMA)
+    diags = [(d["code"], d["message"]) for d in report["diagnostics"]]
+    assert diags == [("io", f"cannot read {path}: not valid UTF-8")]
 
 
 def test_run_check_api_returns_report():
