@@ -54,7 +54,6 @@ from .model import (
     qualify,
     rename_vars,
     simplify_bools,
-    FALSE,
     TRUE,
 )
 
@@ -112,7 +111,7 @@ def _try_project_exists(
         if projected.trivially_unsat():
             continue
         parts.append(system_to_assertion(projected))
-    return disj(parts) if parts else FALSE
+    return disj(parts)
 
 
 def compose_contracts(
@@ -283,7 +282,8 @@ def verify_min_characterization(
         child tuple lies in the composed implementations.
     (b) Minimality: when the parent valuation space has at most 8 points,
         no strictly refinement-smaller (environments, implementations)
-        pair also satisfies (a); larger spaces check only (a).
+        pair, compared by saturated implementations, also satisfies (a);
+        larger spaces check only (a).
     """
     parent_vals = list(interp.grid.valuations())
     child_grids = [
@@ -334,13 +334,18 @@ def verify_min_characterization(
 
     n = len(parent_vals)
     if n <= 8:
+        # a pair means the contract with the saturated implementations
+        # m | ~e, so (E, M) and (E, M | ~E) are one candidate
+        full = (1 << n) - 1
+        own = m_mask | (full & ~e_mask)
         for e in range(1 << n):
             for m in range(1 << n):
-                if (e, m) == (e_mask, m_mask):
+                sat = m | (full & ~e)
+                if (e, sat) == (e_mask, own):
                     continue
                 # strictly refinement-smaller: at least as many environments,
                 # at most as many implementations
-                if (e & e_mask) != e_mask or (m & m_mask) != m:
+                if (e & e_mask) != e_mask or (sat & own) != sat:
                     continue
                 if clause_a(e, m):
                     return False

@@ -31,7 +31,7 @@ from .algebra import (
 from .diagnostics import Diagnostic, has_errors
 from .engine import DEFAULT_DNF_CAP, DEFAULT_SAMPLES, EngineOptions, Interval, Status, Verdict
 from .loader import Obligation, Universe, elaborate
-from .model import FiniteGrid, GridIncomplete, interpret_finite, refines_finite
+from .model import FiniteGrid, GridIncomplete, Loc, interpret_finite, refines_finite
 from .parser import merge_documents, parse_only, resolve_document
 
 
@@ -51,8 +51,10 @@ def _split_entries(text: str, what: str) -> list[tuple[str, str]]:
             continue
         if "=" not in part:
             raise ValueError(f"bad {what} entry: {part!r}")
-        name, value = part.split("=", 1)
-        out.append((name.strip(), value.strip()))
+        name, value = (s.strip() for s in part.split("=", 1))
+        if any(name == seen for seen, _ in out):
+            raise ValueError(f"{what} variable given twice: {name}")
+        out.append((name, value))
     return out
 
 
@@ -134,25 +136,24 @@ def _run_oracle(obligation: Obligation, composed: ComposedContract, hint, refine
         grid = _oracle_grid(composed, hint)
     except (GridIncomplete, ValueError) as exc:  # ValueError: empty or duplicate grid values
         return {"skipped": str(exc)}
+    # the grid holds every parent field and every qualified child field, and
+    # the loader made the abstract subject the composed one
     concrete = interpret_composed_finite(composed, grid)
-    try:
-        finite = refines_finite(concrete, interpret_finite(obligation.abstract, grid))
-        out["finite_refines"] = finite
-        # only proved implies finite refinement: the grid shrinks the
-        # composed implementations and grows its environments
-        if refinement.status is Status.UNKNOWN:
-            out["finite_cross_check"] = "skipped: refinement unknown"
-        elif finite == (refinement.status is Status.PROVED):
-            out["finite_cross_check"] = "agree"
-        elif finite and _off_grid(refinement.witness or {}, grid):
-            out["finite_cross_check"] = "skipped: counterexample off the grid"
-        else:
-            out["finite_cross_check"] = "disagree"
-    except GridIncomplete as exc:
-        out["finite_cross_check"] = f"skipped: {exc}"
+    finite = refines_finite(concrete, interpret_finite(obligation.abstract, grid))
+    out["finite_refines"] = finite
+    # only proved implies finite refinement: the grid shrinks the
+    # composed implementations and grows its environments
+    if refinement.status is Status.UNKNOWN:
+        out["finite_cross_check"] = "skipped: refinement unknown"
+    elif finite == (refinement.status is Status.PROVED):
+        out["finite_cross_check"] = "agree"
+    elif finite and _off_grid(refinement.witness or {}, grid):
+        out["finite_cross_check"] = "skipped: counterexample off the grid"
+    else:
+        out["finite_cross_check"] = "disagree"
     try:
         out["min_characterization"] = verify_min_characterization(composed, grid, concrete)
-    except (GridTooLarge, GridIncomplete) as exc:
+    except GridTooLarge as exc:
         out["min_characterization"] = f"skipped: {exc}"
     return out
 
@@ -285,14 +286,9 @@ _MARKS = {"proved": "✓", "falsified": "✗", "unknown": "?"}
 def render_text(report: dict) -> str:
     lines: list[str] = [f"sccheck {report['version']}"]
     for d in report["diagnostics"]:
-        where = ""
-        if d["file"]:
-            where += f"{d['file']}:"
-        if d["line"] is not None:
-            where += f"{d['line']}:{d['col']}:"
-        if where:
-            where += " "
-        lines.append(f"{where}{d['severity']}[{d['code']}]: {d['message']}")
+        loc = None if d["line"] is None else Loc(d["line"], d["col"])
+        diagnostic = Diagnostic(d["severity"], d["code"], d["message"], loc, d["file"], tuple(d["expected"]))
+        lines.append(diagnostic.render())
     for ob in report["obligations"]:
         lines.append(f"== obligation {ob['name']} (operator {ob['operator']}, {ob['projection']})")
         for check in ob["checks"]:

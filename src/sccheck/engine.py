@@ -36,7 +36,6 @@ from .model import (
     Const,
     Exists,
     FiniteGrid,
-    Forall,
     Implies,
     Neg,
     Not,
@@ -122,14 +121,6 @@ class Interval:
         if self.hi is not None and x > self.hi:
             return False
         return True
-
-    def is_singleton(self) -> bool:
-        return self.lo is not None and self.lo == self.hi
-
-    def __str__(self) -> str:
-        lo = "-inf" if self.lo is None else str(self.lo)
-        hi = "+inf" if self.hi is None else str(self.hi)
-        return f"[{lo}, {hi}]"
 
 
 FULL_INTERVAL = Interval(None, None)
@@ -251,8 +242,6 @@ def _atom_feasible(op: str, lv: Interval, rv: Interval) -> bool:
         return _atom_feasible("<", rv, lv)
     if op == "=":
         return _atom_feasible("<=", lv, rv) and _atom_feasible("<=", rv, lv)
-    if op == "!=":
-        return not (lv.is_singleton() and rv.is_singleton() and lv.lo == rv.lo)
     raise ValueError(f"unknown comparison: {op}")
 
 
@@ -270,7 +259,7 @@ def _contract_once(atoms: Sequence[Cmp], box: dict[str, Interval]) -> tuple[bool
         if isinstance(atom.left, Var):
             pairs.append((atom.left.name, atom.right, atom.op))
         if isinstance(atom.right, Var):
-            flipped = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "=": "=", "!=": "!="}[atom.op]
+            flipped = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "=": "="}[atom.op]
             pairs.append((atom.right.name, atom.left, flipped))
         for name, other, op in pairs:
             iv, singular = interval_eval(other, box)
@@ -281,10 +270,8 @@ def _contract_once(atoms: Sequence[Cmp], box: dict[str, Interval]) -> tuple[bool
                 new = _intersect(cur, iv)
             elif op in ("<=", "<"):
                 new = _intersect(cur, Interval(None, iv.hi))
-            elif op in (">=", ">"):
+            else:  # ">=" or ">"
                 new = _intersect(cur, Interval(iv.lo, None))
-            else:
-                continue
             if new != cur:
                 box[name] = new
                 changed = True
@@ -319,6 +306,9 @@ _NEGATED_CMP = {"<=": ">", "<": ">=", "=": "!=", ">=": "<", ">": "<=", "!=": "="
 
 
 def nnf(a: Assertion, negate: bool = False) -> Assertion:
+    """Negation normal form: no Not and no Implies remain. A negated
+    existential would need universal reasoning, which the ladder does not
+    attempt, so it raises UndecidableQuantifier."""
     match a:
         case BoolLit(value=v):
             return BoolLit(v != negate)
@@ -340,12 +330,8 @@ def nnf(a: Assertion, negate: bool = False) -> Assertion:
             return Or(nnf(l, True), nnf(r))
         case Exists(names=ns, body=b):
             if negate:
-                return Forall(ns, nnf(b, True))
+                raise UndecidableQuantifier("universal quantifier in residue")
             return Exists(ns, nnf(b))
-        case Forall(names=ns, body=b):
-            if negate:
-                return Exists(ns, nnf(b, True))
-            return Forall(ns, nnf(b))
     raise TypeError(f"not an assertion: {a!r}")
 
 
@@ -353,7 +339,7 @@ def prenex_exists(a: Assertion) -> tuple[tuple[str, ...], Assertion]:
     """Pull existential quantifiers out of an NNF formula.
 
     Bound names are renamed when they would collide with names already in
-    scope. Any universal quantifier raises UndecidableQuantifier.
+    scope.
     """
     used = set(free_vars(a))
     counter = itertools.count(1)
@@ -368,12 +354,6 @@ def prenex_exists(a: Assertion) -> tuple[tuple[str, ...], Assertion]:
     def walk(node: Assertion) -> Assertion:
         match node:
             case BoolLit() | Cmp():
-                return node
-            case Not(operand=x):
-                # NNF keeps Not only around atoms; never pull a quantifier
-                # through a negation
-                if not isinstance(x, (BoolLit, Cmp)):
-                    raise EngineError("prenex expects NNF input")
                 return node
             case And(left=l, right=r):
                 return And(walk(l), walk(r))
@@ -391,10 +371,6 @@ def prenex_exists(a: Assertion) -> tuple[tuple[str, ...], Assertion]:
                         bound.append(n)
                 body = rename_vars(b, mapping) if mapping else b
                 return walk(body)
-            case Forall():
-                raise UndecidableQuantifier("universal quantifier in residue")
-            case Implies():
-                raise EngineError("prenex expects NNF input")
         raise TypeError(f"not an assertion: {node!r}")
 
     matrix = walk(a)
@@ -550,8 +526,6 @@ def _dnf_atom_lists(a: Assertion, cap: int) -> list[list[Cmp]]:
             if op == "!=":
                 return [[Cmp("<", a.left, a.right)], [Cmp(">", a.left, a.right)]]
             return [[a]]
-        case Not(operand=Cmp() as inner):
-            return _dnf_atom_lists(Cmp(_NEGATED_CMP[inner.op], inner.left, inner.right), cap)
         case Or(left=l, right=r):
             out = _dnf_atom_lists(l, cap) + _dnf_atom_lists(r, cap)
             if len(out) > cap:
@@ -789,8 +763,6 @@ def _conjunction_atoms(a: Assertion) -> Optional[list[Cmp]]:
                 return walk(l) and walk(r)
             case Cmp():
                 atoms.append(node)
-                return True
-            case BoolLit(value=True):
                 return True
         return False
 

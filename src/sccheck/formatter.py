@@ -17,7 +17,6 @@ from .model import (
     Cmp,
     Const,
     Exists,
-    Forall,
     Implies,
     Neg,
     Not,
@@ -100,9 +99,6 @@ def format_expr(node, parent_level: int = 0, right_of_same: bool = False) -> str
         case Exists(names=ns, body=b):
             # not part of the surface grammar; report rendering only
             s = f"exists {', '.join(ns)} . {format_expr(b, _IMPLIES)}"
-            return f"({s})" if need_parens else s
-        case Forall(names=ns, body=b):
-            s = f"forall {', '.join(ns)} . {format_expr(b, _IMPLIES)}"
             return f"({s})" if need_parens else s
         case _:
             raise TypeError(f"cannot format: {node!r}")

@@ -8,7 +8,8 @@ when there are no errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -71,7 +72,12 @@ def elaborate(doc: SpecDocument) -> tuple[Optional[Universe], list[Diagnostic]]:
         return None, diags
 
     # component types, supertypes resolved in dependency order
-    decls = {c.name: c for c in doc.components}
+    decls = {}
+    for c in doc.components:
+        if c.name in decls:
+            diags.append(Diagnostic("error", "duplicate-component", f"component redefined: {c.name}", c.loc))
+        else:
+            decls[c.name] = c
     components: dict[str, ComponentType] = {}
     building: list[str] = []
 
@@ -108,7 +114,7 @@ def elaborate(doc: SpecDocument) -> tuple[Optional[Universe], list[Diagnostic]]:
     for name in decls:
         build_component(name)
     for ct in components.values():
-        diags.extend(check_component_type(ct, table))
+        diags.extend(replace(d, loc=decls[ct.name].loc) for d in check_component_type(ct, table))
 
     # operators and their glue
     overloads = OverloadSet.empty()
@@ -139,7 +145,7 @@ def elaborate(doc: SpecDocument) -> tuple[Optional[Universe], list[Diagnostic]]:
         op = CompositionOperator(o.name, tuple(params), result, o.glue)
         dup = overloads.add(op)
         if dup is not None:
-            diags.append(dup)
+            diags.append(replace(dup, loc=o.loc))
             continue
         diags.extend(check_operator_glue(op, table))
 
@@ -200,6 +206,11 @@ def elaborate(doc: SpecDocument) -> tuple[Optional[Universe], list[Diagnostic]]:
             )
             continue
         hint = dict(r.grid) if r.grid is not None else None
+        if hint is not None and len(hint) < len(r.grid):
+            repeated = sorted(var for var, n in Counter(var for var, _ in r.grid).items() if n > 1)
+            message = f"refinement {r.name}: grid variable given twice: {', '.join(repeated)}"
+            diags.append(Diagnostic("error", "duplicate-grid-variable", message, r.loc))
+            continue
         obligations.append(Obligation(r.name, op, tuple(bound), abstract, hint))
 
     if has_errors(diags):

@@ -140,13 +140,7 @@ class Exists(_Node):
     body: "Assertion"
 
 
-@dataclass(frozen=True)
-class Forall(_Node):
-    names: tuple[str, ...]
-    body: "Assertion"
-
-
-Assertion = Union[BoolLit, Cmp, Not, And, Or, Implies, Exists, Forall]
+Assertion = Union[BoolLit, Cmp, Not, And, Or, Implies, Exists]
 
 TRUE = BoolLit(True)
 FALSE = BoolLit(False)
@@ -184,7 +178,7 @@ def free_vars(node: Term | Assertion) -> frozenset[str]:
             return free_vars(l) | free_vars(r)
         case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r):
             return free_vars(l) | free_vars(r)
-        case Exists(names=ns, body=b) | Forall(names=ns, body=b):
+        case Exists(names=ns, body=b):
             return free_vars(b) - frozenset(ns)
     raise TypeError(f"not a term or assertion: {node!r}")
 
@@ -213,9 +207,6 @@ def rename_vars(node, mapping: Mapping[str, str]):
         case Exists(names=ns, body=b):
             inner = {k: v for k, v in mapping.items() if k not in ns}
             return Exists(ns, rename_vars(b, inner), loc=node.loc)
-        case Forall(names=ns, body=b):
-            inner = {k: v for k, v in mapping.items() if k not in ns}
-            return Forall(ns, rename_vars(b, inner), loc=node.loc)
     raise TypeError(f"not a term or assertion: {node!r}")
 
 
@@ -261,11 +252,6 @@ def simplify_bools(a: Assertion) -> Assertion:
             if isinstance(sb, BoolLit):
                 return sb
             return Exists(ns, sb, loc=a.loc)
-        case Forall(names=ns, body=b):
-            sb = simplify_bools(b)
-            if isinstance(sb, BoolLit):
-                return sb
-            return Forall(ns, sb, loc=a.loc)
     raise TypeError(f"not an assertion: {a!r}")
 
 
@@ -363,21 +349,19 @@ def _eval3(
             if rv is True:
                 return True
             return None if lv is None or rv is None else False
-        case Exists(names=ns, body=b) | Forall(names=ns, body=b):
+        case Exists(names=ns, body=b):
             if quantifier_grids is None:
                 raise ModelError("quantifier in plain evaluation")
-            # one body value decides: true for Exists, false for Forall
-            decisive = isinstance(a, Exists)
             saw_undefined = False
             for combo in itertools.product(*(quantifier_grids(n) for n in ns)):
                 inner = dict(env)
                 inner.update(zip(ns, combo))
                 value = _eval3(b, inner, quantifier_grids)
-                if value is decisive:
-                    return decisive
+                if value is True:
+                    return True
                 if value is None:
                     saw_undefined = True
-            return None if saw_undefined else not decisive
+            return None if saw_undefined else False
     raise TypeError(f"not an assertion: {a!r}")
 
 

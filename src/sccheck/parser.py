@@ -720,15 +720,6 @@ def resolve_document(doc: SpecDocument) -> list[Diagnostic]:
         want(o.result, components, "component type")
         for i, eq in enumerate(o.glue):
             check_sorts(eq, "bool", diags, f"glue {i + 1} of operator {o.name}")
-            if not (isinstance(eq, Cmp) and eq.op == "="):
-                diags.append(
-                    Diagnostic(
-                        "error",
-                        "glue-not-equation",
-                        f"glue {i + 1} of operator {o.name} must be an equality",
-                        getattr(eq, "loc", None),
-                    )
-                )
     for k in doc.contracts:
         want(k.subject, components, "component type")
         check_sorts(k.assumption, "bool", diags, f"assumption of contract {k.name}")

@@ -246,14 +246,10 @@ def dimension_of(term: Term, scope: Scope | ComponentType, table: QuantityTable)
     return DIMENSIONLESS if d is None else d
 
 
-def check_assertion_dimensions(
-    a: Assertion, scope: Scope | ComponentType, table: QuantityTable
-) -> list[Diagnostic]:
+def check_assertion_dimensions(a: Assertion, scope: Scope, table: QuantityTable) -> list[Diagnostic]:
     """Every comparison must relate terms of equal dimension; variable
     references must resolve in the scope. Problems come back as
     diagnostics, one per offending node."""
-    if isinstance(scope, ComponentType):
-        scope = scope_of(scope)
     diags: list[Diagnostic] = []
     _FAILED = object()
 
@@ -430,22 +426,19 @@ def check_operator_glue(op: CompositionOperator, table: QuantityTable) -> list[D
                 diags.append(Diagnostic("error", "unknown-field", f"unknown field: {n}", node.loc))
             case Const() | BoolLit():
                 return
-            case Neg(operand=t) | Not(operand=t):
+            case Neg(operand=t):
                 check_vars(t)
             case BinOp(left=l, right=r) | Cmp(left=l, right=r):
                 check_vars(l)
                 check_vars(r)
-            case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r):
-                check_vars(l)
-                check_vars(r)
 
-    for eq in op.glue:
+    for i, eq in enumerate(op.glue):
         if not (isinstance(eq, Cmp) and eq.op == "="):
             diags.append(
                 Diagnostic(
                     "error",
                     "glue-not-equation",
-                    f"glue of operator {op.name} must be an equality",
+                    f"glue {i + 1} of operator {op.name} must be an equality",
                     getattr(eq, "loc", None),
                 )
             )

@@ -67,6 +67,15 @@ def test_compose_arity_and_type_errors():
     other = contract("K", component("Other", "r:resistance"), "true", "true")
     with pytest.raises(TypeMismatch):
         compose_contracts(series_op(), [("c1", C1), ("c2", other)])
+    with pytest.raises(ArityMismatch, match="duplicate binding names"):
+        compose_contracts(series_op(), [("c", C1), ("c", C1)])
+
+
+def test_infeasible_child_projects_to_false():
+    empty = contract("E", CELL, "true", "r >= 1 and r <= 0")
+    composed = compose_contracts(series_op(), [("c1", empty), ("c2", C1)])
+    assert composed.projection == "exact"
+    assert composed.contract.guarantee == BoolLit(False)
 
 
 def test_nontrivial_child_assumptions_projected_into_parent_assumption():
@@ -251,6 +260,16 @@ def test_min_characterization_rejects_weakened_guarantee():
     )
     g = grid(r=[0, 1, 2, 3])
     assert not verify_min_characterization(weakened, g, interpret_composed_finite(weakened, g))
+
+
+def test_min_characterization_rejects_strengthened_guarantee():
+    from dataclasses import replace
+
+    # the children implement r = 3, which the strengthened contract forbids
+    composed = compose(series_op(), C1, C2)
+    strengthened = replace(composed, contract=replace(composed.contract, guarantee=FALSE))
+    g = grid(r=[0, 1, 2, 3])
+    assert not verify_min_characterization(strengthened, g, interpret_composed_finite(strengthened, g))
 
 
 def test_min_characterization_rejects_strengthened_assumption():

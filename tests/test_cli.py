@@ -1,6 +1,7 @@
 import io
 import json
 import pathlib
+import runpy
 
 import jsonschema
 import pytest
@@ -13,7 +14,7 @@ from sccheck.cli import (
     parse_grid_flag,
     run_check,
 )
-from sccheck.engine import Status, Verdict
+from sccheck.engine import EngineOptions, Status, Verdict
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = str(ROOT / "corpus" / "resistor.scspec")
@@ -49,7 +50,7 @@ def test_exit_code_is_pure_function_of_verdicts(verdicts, errors, expected):
 # flag parsing
 
 def test_parse_grid_flag():
-    parsed = parse_grid_flag("r=0,1,2/3;u=-1")
+    parsed = parse_grid_flag("r=0,1,2/3;;u=-1;")
     assert parsed["r"][2] == pytest.approx(2 / 3)
     assert str(parsed["r"][2]) == "2/3"
     assert str(parsed["u"][0]) == "-1"
@@ -70,6 +71,9 @@ def test_parse_box_flag():
         ["--samples", "0", "--dnf-cap", "0"],
         ["--box", "r=[2,1]"],
         ["--dnf-cap", "-5"],
+        ["--grid", "r"],
+        ["--grid", "r=1;r=2"],
+        ["--box", "r=[0,1];r=[2,3]"],
     ],
 )
 def test_bad_flag_values_are_input_errors(flags, capsys):
@@ -242,6 +246,24 @@ def test_missing_file_is_an_error(capsys):
     assert code == 3
 
 
+def test_text_report_renders_diagnostics_like_the_library(tmp_path, capsys):
+    bad = tmp_path / "bad.scspec"
+    bad.write_text("quantity ;\n")
+    assert main(["check", str(bad)]) == 3
+    out = capsys.readouterr().out
+    assert f"{bad}:1:10: error[syntax]: expected quantity name, found ';' (expected quantity name)\n" in out
+
+
+# run_module re-executes the already imported module, which is the point
+@pytest.mark.filterwarnings("ignore:'sccheck.cli' found in sys.modules:RuntimeWarning")
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["sccheck", "check", CORPUS, "--obligation", "SysBySeries"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("sccheck.cli", run_name="__main__")
+    assert exit_.value.code == 0
+    assert "refinement Sys: proved" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("source", ["file", "strict", "surrogateescape"])
 def test_non_utf8_input_is_an_io_error(tmp_path, capsys, monkeypatch, source):
     data = b"quantity q;\xe9\n"
@@ -314,3 +336,119 @@ def test_corpus_oracle_report_matches_golden(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(pathlib.Path(CORPUS).read_text()))
     main(["check", "-", "--oracle", "--deterministic", "--format", "json"])
     assert capsys.readouterr().out.encode() == GOLDEN.read_bytes()
+
+
+NONLINEAR_SPEC = (
+    "quantity q;\n"
+    "component T { r: q; }\n"
+    "operator par(a: T, b: T) -> T { r = 1 / (1 / a.r + 1 / b.r); }\n"
+    "operator id(a: T) -> T { r = a.r; }\n"
+    "contract K : T { assume true; guarantee r >= 0; }\n"
+    "contract Bad : T { assume true; guarantee r >= 1 and r * r <= 0; }\n"
+    "refinement Par : compose par(K as c1, K as c2) <: K { r = 0, 1; }\n"
+    "refinement Void : compose id(Bad as c) <: K;\n"
+)
+
+
+def test_text_report_of_quantified_residues(tmp_path, capsys):
+    spec = tmp_path / "nonlinear.scspec"
+    spec.write_text(NONLINEAR_SPEC)
+    code = main(["check", str(spec), "--oracle", "--samples", "200"])
+    out = capsys.readouterr().out
+    assert code == 1
+    # the grid leaves the harmonic sum 1/2 out, and c1.r = 0 divides by zero
+    assert "? refinement K: unknown [not falsified within budget]\n" in out
+    assert (
+        '  oracle: {"finite_cross_check": "skipped: refinement unknown", '
+        '"finite_refines": true, "min_characterization": true}\n'
+    ) in out
+    assert (
+        "✗ consistency id(Bad as c): falsified [inconsistent: no implementation: "
+        "exists c.r . r = c.r and c.r >= 1 and c.r * c.r <= 0]\n"
+    ) in out
+
+
+def test_dnf_cap_keeps_the_residue(tmp_path):
+    spec = tmp_path / "cell.scspec"
+    spec.write_text(CELL_SPEC.replace("guarantee r = 1;", "guarantee r = 1 or r = 4;") + ";\n")
+    capped = run_check([str(spec)], CheckOptions(engine=EngineOptions(dnf_cap=1), deterministic=True))[1]
+    assert capped["obligations"][0]["projection"] == "quantified-residue"
+    assert run_check([str(spec)], CheckOptions(deterministic=True))[1]["obligations"][0]["projection"] == "exact"
+
+
+def test_oracle_skips_a_grid_too_large(tmp_path, capsys):
+    spec = tmp_path / "cell.scspec"
+    spec.write_text(CELL_SPEC + ";\n")
+    grid = "r=" + ",".join(str(v) for v in range(41))
+    main(["check", str(spec), "--oracle", "--grid", grid, "--format", "json"])
+    oracle = json.loads(capsys.readouterr().out)["obligations"][0]["oracle"]
+    assert oracle["finite_cross_check"] == "agree"
+    assert oracle["min_characterization"] == "skipped: 68921 assemblies exceed the 2^16 guard"
+
+
+NOENV_SPEC = (
+    "quantity q;\n"
+    "component T { x: q; t: q; }\n"
+    "operator id(a: T) -> T { x = a.x; }\n"
+    "contract C : T { assume t >= 0; guarantee x = 1; }\n"
+    "refinement R : compose id(C as c) <: C { x = 0, 1; t = -1, 0; }\n"
+)
+
+
+def test_composition_without_environments_is_minimal(tmp_path, capsys):
+    # the glue leaves c.t free, so a child outside its assumption is always
+    # possible and the composed assumption is false; (false, M) and
+    # (false, everything) are one contract
+    spec = tmp_path / "noenv.scspec"
+    spec.write_text(NOENV_SPEC)
+    assert main(["check", str(spec), "--oracle", "--format", "json"]) == 1
+    [ob] = json.loads(capsys.readouterr().out)["obligations"]
+    assert ob["checks"][5]["verdict"]["reason"] == "incompatible: assumption unsatisfiable: false"
+    assert ob["oracle"] == {"finite_refines": False, "finite_cross_check": "agree", "min_characterization": True}
+    # a grid without the child values that break the assumption cannot
+    # tell the empty environments from all of them
+    spec.write_text(NOENV_SPEC.replace("t = -1, 0;", "t = 0, 1;"))
+    main(["check", str(spec), "--oracle", "--format", "json"])
+    [ob] = json.loads(capsys.readouterr().out)["obligations"]
+    assert ob["oracle"]["min_characterization"] is False
+
+
+SUBTYPE_SPEC = """\
+quantity resistance;
+quantity precision <: resistance;
+
+component Resistor { r: resistance; }
+component Precise <: Resistor { r: resistance; tol: precision; }
+
+operator series(a: Resistor, b: Resistor) -> Resistor { r = a.r + b.r; }
+operator series(a: Precise, b: Precise) -> Precise { r = a.r + b.r; tol = a.tol + b.tol; }
+
+contract P1 : Precise { assume true; guarantee r = 1 and tol <= 1; }
+contract R1 : Resistor { assume true; guarantee r = 1; }
+contract P2 : Precise { assume tol >= 0; guarantee r = 2 and tol <= 2; }
+contract R2 : Resistor { assume true; guarantee r = 2; }
+
+refinement BothPrecise : compose series(P1 as c1, P1 as c2) <: P2 { r = 1, 2; tol = 0, 1, 2; }
+refinement Mixed : compose series(P1 as c1, R1 as c2) <: R2 { r = 0, 1, 2; tol = 0, 1; }
+"""
+
+
+def test_subtype_children_select_the_most_specific_overload(tmp_path, capsys):
+    spec = tmp_path / "subtype.scspec"
+    spec.write_text(SUBTYPE_SPEC)
+    assert main(["check", str(spec), "--oracle", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    verdicts = {
+        ob["name"]: (ob["checks"][-1]["verdict"]["status"], ob["oracle"]["min_characterization"])
+        for ob in report["obligations"]
+    }
+    # two Precise children compose through the Precise overload: its result
+    # refines a Precise contract, and only its glue bounds tol
+    assert verdicts == {"BothPrecise": ("proved", True), "Mixed": ("proved", True)}
+    # mixed children fall back to the general overload, whose result is a
+    # Resistor, not a Precise
+    spec.write_text(SUBTYPE_SPEC + "refinement Wrong : compose series(P1 as c1, R1 as c2) <: P2;\n")
+    assert main(["check", str(spec), "--format", "json"]) == 3
+    [diag] = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert diag["code"] == "subject-type-mismatch" and diag["line"] == 17
+    assert "composed subject Resistor" in diag["message"]

@@ -28,6 +28,8 @@ from sccheck.engine import (
 )
 from sccheck.model import (
     And,
+    BoolLit,
+    Exists,
     FiniteGrid,
     GridIncomplete,
     Not,
@@ -73,6 +75,13 @@ def test_normalize_cap_exceeded():
     formula = expr(" and ".join(f"x{i} != 0" for i in range(6)))
     with pytest.raises(DnfCapExceeded):
         normalize(formula, cap=32)
+    with pytest.raises(DnfCapExceeded):
+        normalize(expr("x = 1 or x = 2 or x = 3"), cap=2)
+
+
+def test_negated_product_is_nonlinear():
+    [d] = normalize(expr("-(x * y) <= 1")).disjuncts
+    assert isinstance(d, NonlinearDisjunct)
 
 
 @settings(max_examples=50)
@@ -246,6 +255,12 @@ def test_interval_division_through_zero_flags_singularity():
     assert iv.lo is None and iv.hi is None
 
 
+def test_interval_of_a_negated_product():
+    iv, singular = interval_eval(expr("-x * y"), box(x=(1, 2), y=(3, 4)))
+    assert (iv.lo, iv.hi, singular) == (-8, -3, False)
+    assert not iv.contains(Fraction(-9)) and not iv.contains(Fraction(-2))
+
+
 def test_interval_parallel_resistance_point():
     iv, singular = interval_eval(expr("1 / (1 / r1 + 1 / r2)"), box(r1=(2, 2), r2=(2, 2)))
     assert not singular
@@ -307,6 +322,26 @@ def test_sampler_propagates_equalities_to_exact_targets():
     assert witness is not None
     assert witness["r"] == Fraction(2, 3)
     assert eval_assertion(formula, witness)
+
+
+def test_sampler_draws_inside_a_point_box():
+    # no sampling denominator is a multiple of 7, so every draw is the end
+    point = box(x=(Fraction(1, 7), Fraction(1, 7)))
+    assert sample_falsify(expr("x * x = 1/49"), point, budget=1) == {"x": Fraction(1, 7)}
+
+
+def test_sampler_input_guards():
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        sample_falsify(expr("x = 1"), budget=0)
+    # a negated existential needs universal reasoning
+    assert sample_falsify(Not(Exists(("y",), expr("x = y")))) is None
+    # an undefined forced value drops every propagated equality
+    assert sample_falsify(expr("y = 0 and x = 1 / y"), budget=20) is None
+
+
+def test_system_to_assertion_skips_ground_constraints():
+    assert system_to_assertion(LinearSystem((c({}, -1),))) == BoolLit(False)
+    assert system_to_assertion(LinearSystem((c({}, 1), c({"x": 2}, 3)))) == expr("2 * x <= 3")
 
 
 def test_sampler_deterministic_given_seed():

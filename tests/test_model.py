@@ -12,11 +12,13 @@ from sccheck.model import (
     Contract,
     Exists,
     FiniteGrid,
-    Forall,
     GridIncompatible,
     GridIncomplete,
+    ModelError,
+    UnboundVariable,
     Implies,
     Interpretation,
+    Not,
     Or,
     eval_assertion,
     free_vars,
@@ -116,7 +118,7 @@ def test_grid_lookup_falls_back_to_the_bare_field_name():
 def test_interpret_quantifiers_range_over_the_grid():
     # c1.r has no entry of its own, so it ranges over the values of r
     c = Contract(
-        "C", CELL, Exists(("c1.r",), expr("r = 2 * c1.r")), Forall(("c1.r",), expr("c1.r <= r"))
+        "C", CELL, Exists(("c1.r",), expr("r = 2 * c1.r")), Not(Exists(("c1.r",), expr("c1.r > r")))
     )
     envs, impls = vals(interpret_finite(c, grid(r=[0, 1, 2])))
     assert envs == {(Fraction(0),), (Fraction(2),)}
@@ -232,12 +234,25 @@ def test_qualify_prefixes_all_free_variables():
     e = expr("r = a + 1")
     q = qualify(e, "c1")
     assert free_vars(q) == {"c1.r", "c1.a"}
+    assert qualify(expr("not -r < a"), "c1") == expr("not -c1.r < c1.a")
+    # a bound name shadows the free one of the same name
+    assert qualify(Exists(("a",), expr("a = r")), "c1") == Exists(("a",), expr("a = c1.r"))
 
 
 def test_simplify_bools_folds_constants():
     assert simplify_bools(And(BoolLit(True), expr("r = 1"))) == expr("r = 1")
     assert simplify_bools(Or(BoolLit(True), expr("r = 1"))) == BoolLit(True)
     assert simplify_bools(Implies(BoolLit(False), expr("r = 1"))) == BoolLit(True)
+    assert simplify_bools(Exists(("r",), expr("true and true"))) == BoolLit(True)
+
+
+def test_evaluation_input_errors():
+    with pytest.raises(UnboundVariable, match="unbound variable: r"):
+        eval_assertion(expr("r = 1"), {})
+    with pytest.raises(ModelError, match="quantifier in plain evaluation"):
+        eval_assertion(Exists(("r",), expr("r = 1")), {})
+    with pytest.raises(ValueError, match="empty grid for variable r"):
+        FiniteGrid.of({"r": []})
 
 
 def test_eval_exact_rationals():

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,6 +99,19 @@ def test_rational_literals_fold_exactly():
     assert parse_expression("0.25") == Const(Fraction(1, 4))
     # division by a variable is division, not a literal
     assert isinstance(parse_expression("1/x"), BinOp)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("x = ", "expected an expression, found 'eof'"),
+        ("x = 1 )", "trailing input at 1:7"),
+        ("x @ 1", "unexpected character '@'"),
+    ],
+)
+def test_parse_expression_rejects_bad_input(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_expression(text)
 
 
 def test_comparison_does_not_chain():

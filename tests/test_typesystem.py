@@ -110,6 +110,10 @@ def test_constants_adapt_to_dimensioned_context():
         TABLE.dimension_of_quantity("resistance")
     )
     assert dimension_of(expr("7"), RESISTOR, TABLE) == DIMENSIONLESS
+    for term in ("1 + r", "r * 2", "r / 2", "-r"):
+        assert dimension_of(expr(term), RESISTOR, TABLE) == TABLE.dimension_of_quantity("resistance")
+    with pytest.raises(UnknownQuantity):
+        TABLE.get("flux")
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +243,9 @@ def test_glue_unknown_field():
 
 
 def test_glue_must_be_equation():
-    op = _resistor_op(["r <= a.r"])
+    op = _resistor_op(["r = a.r", "r <= a.r"])
     diags = check_operator_glue(op, TABLE)
-    assert any(d.code == "glue-not-equation" for d in diags)
+    assert [(d.code, d.message) for d in diags] == [("glue-not-equation", "glue 2 of operator op must be an equality")]
 
 
 # ---------------------------------------------------------------------------
