@@ -18,6 +18,7 @@ from .algebra import (
     check_consistency,
     check_refinement,
     compose_contracts,
+    compose_finite,
     interpret_composed_finite,
     verify_min_characterization,
 )
@@ -79,6 +80,7 @@ __all__ = [
     "check_operator_glue",
     "check_refinement",
     "compose_contracts",
+    "compose_finite",
     "dimension_of",
     "elaborate",
     "enumerate_models",

@@ -267,86 +267,67 @@ def interpret_composed_finite(
 
 
 # ---------------------------------------------------------------------------
-# the composition characterization, checked by enumeration
+# the composition characterization, checked against the definition
 
-def verify_min_characterization(
-    composed: ComposedContract, grid: FiniteGrid, interp: Interpretation
-) -> bool:
-    """Validate ``interp``, the composed contract's interpretation on the
-    grid, against the defining property of composition.
-
-    (a) For every parent environment of the composed contract and every
-        tuple of child implementations: each child valuation consistent
-        with the assembly under the glue lies in that child's
-        environments, and every parent valuation consistent with the full
-        child tuple lies in the composed implementations.
-    (b) Minimality: when the parent valuation space has at most 8 points,
-        no strictly refinement-smaller (environments, implementations)
-        pair, compared by saturated implementations, also satisfies (a);
-        larger spaces check only (a).
-    """
-    parent_vals = list(interp.grid.valuations())
+def compose_finite(composed: ComposedContract, grid: FiniteGrid) -> Interpretation:
+    """The composition by definition on the grid, from the children and the
+    glue alone, never from the composed formulas: environments all - broken
+    and saturated implementations reached | broken. A parent point is
+    broken when the glue relates it to an assembly with one child outside
+    its environments and the others in their implementations, and reached
+    when it relates it to a tuple of child implementations. Raises
+    ``GridTooLarge`` past 2^16 assemblies."""
+    parent = grid.restrict(composed.contract.subject.field_names())
+    points = [(pv, freeze_valuation(pv)) for pv in parent.valuations()]
     child_grids = [
         FiniteGrid.of({f: grid.lookup(f"{bname}.{f}") for f in part.subject.field_names()})
         for bname, part in composed.bindings
     ]
-    total = interp.grid.point_count()
+    total = len(points)
     for g in child_grids:
         total *= g.point_count()
     if total > 2**16:
         raise GridTooLarge(f"{total} assemblies exceed the 2^16 guard")
     children = [interpret_finite(part, g) for (_, part), g in zip(composed.bindings, child_grids)]
 
-    def parents(assembly: Sequence[Valuation]) -> int:
-        """Bitmask of the parent valuations the glue relates to the assembly."""
+    def related(assembly: Sequence[Valuation]) -> set[Valuation]:
+        """The parent points the glue relates to the assembly."""
         merged = {f"{b}.{f}": x for (b, _), val in zip(composed.bindings, assembly) for f, x in val}
-        mask = 0
-        for i, pv in enumerate(parent_vals):
+        out = set()
+        for pv, frozen in points:
             try:
                 if eval_assertion(composed.glue, {**pv, **merged}):
-                    mask |= 1 << i
+                    out.add(frozen)
             except UndefinedTerm:
                 pass
-        return mask
+        return out
 
-    # u_mask: parents of some child implementation tuple; bad_mask: parents
-    # of an assembly that puts one child outside its environments
-    outside = [
-        [v for v in map(freeze_valuation, g.valuations()) if v not in c.environments]
-        for g, c in zip(child_grids, children)
-    ]
-    u_mask = bad_mask = 0
-    for t in itertools.product(*(c.implementations for c in children)):
-        u_mask |= parents(t)
-        for k, vals in enumerate(outside):
-            for v_k in vals:
-                bad_mask |= parents(t[:k] + (v_k,) + t[k + 1:])
+    impls = [c.implementations for c in children]
+    reached: set[Valuation] = set()
+    for t in itertools.product(*impls):
+        reached |= related(t)
+    broken: set[Valuation] = set()
+    for k, (g, c) in enumerate(zip(child_grids, children)):
+        outside = frozenset(map(freeze_valuation, g.valuations())) - c.environments
+        for t in itertools.product(*impls[:k], outside, *impls[k + 1:]):
+            broken |= related(t)
+    every = frozenset(frozen for _, frozen in points)
+    return Interpretation(parent, every - broken, frozenset(reached | broken))
 
-    index = {freeze_valuation(pv): i for i, pv in enumerate(parent_vals)}
-    e_mask = sum(1 << index[v] for v in interp.environments)
-    m_mask = sum(1 << index[v] for v in interp.implementations)
 
-    def clause_a(e: int, m: int) -> bool:
-        return not (e & bad_mask) and (e == 0 or not (u_mask & ~m))
+def verify_min_characterization(
+    composed: ComposedContract, grid: FiniteGrid, interp: Interpretation
+) -> bool:
+    """Whether ``interp``, the composed contract's interpretation on the
+    grid, is the least contract the children guarantee through the glue.
 
-    if not clause_a(e_mask, m_mask):
-        return False
-
-    n = len(parent_vals)
-    if n <= 8:
-        # a pair means the contract with the saturated implementations
-        # m | ~e, so (E, M) and (E, M | ~E) are one candidate
-        full = (1 << n) - 1
-        own = m_mask | (full & ~e_mask)
-        for e in range(1 << n):
-            for m in range(1 << n):
-                sat = m | (full & ~e)
-                if (e, sat) == (e_mask, own):
-                    continue
-                # strictly refinement-smaller: at least as many environments,
-                # at most as many implementations
-                if (e & e_mask) != e_mask or (sat & own) != sat:
-                    continue
-                if clause_a(e, m):
-                    return False
-    return True
+    The defining property asks that no environment be broken and, unless
+    there are no environments, that every reached point be an
+    implementation. Every pair (E, M) with it has E within all - broken and
+    M | ~E containing reached | broken, so :func:`compose_finite` is the
+    refinement-least one at every grid size. Implementations compare in
+    saturated form M | ~E."""
+    least = compose_finite(composed, grid)
+    every = frozenset(map(freeze_valuation, interp.grid.valuations()))
+    saturated = interp.implementations | (every - interp.environments)
+    return replace(interp, implementations=saturated) == least

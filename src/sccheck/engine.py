@@ -222,7 +222,11 @@ def interval_eval(term: Term, box: Box) -> tuple[Interval, bool]:
             if op == "-":
                 return _iv_add(la, _iv_neg(rb)), singular
             if op == "*":
-                return _iv_mul(la, rb), singular
+                product = _iv_mul(la, rb)
+                if l == r and la.contains(Fraction(0)):
+                    # a square is never negative
+                    return Interval(Fraction(0), product.hi), singular
+                return product, singular
             inv, s2 = _iv_inv(rb)
             if s2:
                 return FULL_INTERVAL, True

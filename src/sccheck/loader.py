@@ -22,8 +22,6 @@ from .model import (
 )
 from .parser import SpecDocument
 from .typesystem import (
-    AmbiguousOverload,
-    NoMatchingOverload,
     OverloadSet,
     QuantityTable,
     TypeSystemError,
@@ -66,9 +64,7 @@ def elaborate(doc: SpecDocument) -> tuple[Optional[Universe], list[Diagnostic]]:
     try:
         table = build_hierarchy(doc.quantities)
     except TypeSystemError as exc:
-        code = type(exc).__name__
-        kebab = "".join("-" + c.lower() if c.isupper() else c for c in code).lstrip("-")
-        diags.append(Diagnostic("error", kebab, str(exc), exc.loc))
+        diags.append(Diagnostic("error", exc.code, str(exc), exc.loc))
         return None, diags
 
     # component types, supertypes resolved in dependency order
@@ -190,9 +186,8 @@ def elaborate(doc: SpecDocument) -> tuple[Optional[Universe], list[Diagnostic]]:
             op = resolve_operator(
                 r.operator.name, [c.subject for _, c in bound], overloads
             )
-        except (NoMatchingOverload, AmbiguousOverload) as exc:
-            code = "no-matching-overload" if isinstance(exc, NoMatchingOverload) else "ambiguous-overload"
-            diags.append(Diagnostic("error", code, f"in refinement {r.name}: {exc}", r.loc))
+        except TypeSystemError as exc:
+            diags.append(Diagnostic("error", exc.code, f"in refinement {r.name}: {exc}", r.loc))
             continue
         if abstract.subject.name != op.result.name:
             diags.append(
@@ -210,6 +205,16 @@ def elaborate(doc: SpecDocument) -> tuple[Optional[Universe], list[Diagnostic]]:
             repeated = sorted(var for var, n in Counter(var for var, _ in r.grid).items() if n > 1)
             message = f"refinement {r.name}: grid variable given twice: {', '.join(repeated)}"
             diags.append(Diagnostic("error", "duplicate-grid-variable", message, r.loc))
+            continue
+        # a grid names parent and child fields, bare or qualified by a binding
+        known = set(op.result.field_names())
+        for bname, c in bound:
+            known.update(c.subject.field_names())
+            known.update(f"{bname}.{f}" for f in c.subject.field_names())
+        unknown = [var for var, _ in r.grid or () if var not in known]
+        if unknown:
+            message = f"refinement {r.name}: unknown field in grid: {', '.join(unknown)}"
+            diags.append(Diagnostic("error", "unknown-field", message, r.loc))
             continue
         obligations.append(Obligation(r.name, op, tuple(bound), abstract, hint))
 

@@ -24,6 +24,7 @@ re-parsing is the identity on the tree.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -65,6 +66,11 @@ KEYWORDS = frozenset(
     }
 )
 
+# the grammar's IDENT and NUMBER are ASCII: str.isalpha and str.isdigit
+# would also admit letters and digits of other scripts
+_DIGITS = frozenset(string.digits)
+_LETTERS = frozenset(string.ascii_letters)
+_WORD = _LETTERS | _DIGITS | {"_"}
 _TWO_CHAR = ("<=", ">=", "!=", "->", "<:")
 _ONE_CHAR = ";:,(){}=<>+-*/."
 
@@ -212,22 +218,22 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
                 advance()
             continue
         loc = Loc(line, col)
-        if c.isalpha():
+        if c in _LETTERS:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _WORD:
                 j += 1
             word = text[i:j]
             advance(j - i)
             kind = "keyword" if word in KEYWORDS else "ident"
             tokens.append(Token(kind, word, loc))
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
                 j += 1
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
             lit = text[i:j]
             advance(j - i)
@@ -320,6 +326,14 @@ class _Parser:
         shown = found.text or found.kind
         self.error(f"expected {what}, found {shown!r}", expected=(what,))
         raise _Recover()
+
+    def variable(self, what: str = "variable") -> str:
+        """A variable name: IDENT ["." IDENT]."""
+        name = self.expect_ident(what).text
+        if self.at("."):
+            self.take()
+            name = f"{name}.{self.expect_ident('field name').text}"
+        return name
 
     def sync(self) -> None:
         """Panic-mode recovery: skip to a `;`, past a `}`, or to the next
@@ -439,13 +453,7 @@ class _Parser:
             self.take()
             return Const(t.value, loc=t.loc)
         if t.kind == "ident":
-            self.take()
-            name = t.text
-            if self.at("."):
-                self.take()
-                fld = self.expect_ident("field name")
-                name = f"{name}.{fld.text}"
-            return Var(name, loc=t.loc)
+            return Var(self.variable(), loc=t.loc)
         if t.kind == "keyword" and t.text in ("true", "false"):
             self.take()
             return BoolLit(t.text == "true", loc=t.loc)
@@ -625,14 +633,14 @@ class _Parser:
             self.take()
             lines: list[tuple[str, tuple[Fraction, ...]]] = []
             while not self.at("}") and not self.at("eof"):
-                var = self.expect_ident("grid variable")
+                var = self.variable("grid variable")
                 self.expect("=", "=")
                 values = [self.parse_rational()]
                 while self.at(","):
                     self.take()
                     values.append(self.parse_rational())
                 self.expect(";", ";")
-                lines.append((var.text, tuple(values)))
+                lines.append((var, tuple(values)))
             self.expect("}", "}")
             grid = tuple(lines)
         else:

@@ -41,58 +41,12 @@ from .model import (
 
 
 class TypeSystemError(Exception):
-    def __init__(self, message: str, loc: Loc | None = None):
+    """A type error, carrying the diagnostic code it is reported under."""
+
+    def __init__(self, code: str, message: str, loc: Loc | None = None):
+        self.code = code
         self.loc = loc
         super().__init__(message)
-
-
-class CyclicSubtype(TypeSystemError):
-    def __init__(self, path: Sequence[str], loc: Loc | None = None):
-        self.path = tuple(path)
-        super().__init__("cyclic quantity declarations: " + " -> ".join(self.path), loc)
-
-
-class UnknownQuantity(TypeSystemError):
-    def __init__(self, name: str, loc: Loc | None = None):
-        self.name = name
-        super().__init__(f"unknown quantity: {name}", loc)
-
-
-class RedefinedQuantity(TypeSystemError):
-    def __init__(self, name: str, loc: Loc | None = None):
-        self.name = name
-        super().__init__(f"quantity redefined: {name}", loc)
-
-
-class DimensionMismatch(TypeSystemError):
-    def __init__(self, left: Dimension, right: Dimension, loc: Loc | None = None):
-        self.left = left
-        self.right = right
-        super().__init__(
-            f"dimension mismatch: {dim_str(left)} vs {dim_str(right)}", loc
-        )
-
-
-class UnknownField(TypeSystemError):
-    def __init__(self, name: str, loc: Loc | None = None):
-        self.name = name
-        super().__init__(f"unknown field: {name}", loc)
-
-
-class NoMatchingOverload(TypeSystemError):
-    def __init__(self, name: str, arg_types: Sequence[str]):
-        self.name = name
-        self.arg_types = tuple(arg_types)
-        super().__init__(f"no overload of {name} matches ({', '.join(arg_types)})")
-
-
-class AmbiguousOverload(TypeSystemError):
-    def __init__(self, name: str, candidates: Sequence[str]):
-        self.name = name
-        self.candidates = tuple(candidates)
-        super().__init__(
-            f"ambiguous overload of {name}; candidates: {'; '.join(candidates)}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +63,7 @@ class QuantityTable:
         try:
             return self.quantities[name]
         except KeyError:
-            raise UnknownQuantity(name) from None
+            raise TypeSystemError("unknown-quantity", f"unknown quantity: {name}") from None
 
     def has(self, name: str) -> bool:
         return name in self.quantities
@@ -137,7 +91,7 @@ def build_hierarchy(decls) -> QuantityTable:
     by_name = {}
     for d in decls:
         if d.name in by_name:
-            raise RedefinedQuantity(d.name, d.loc)
+            raise TypeSystemError("redefined-quantity", f"quantity redefined: {d.name}", d.loc)
         by_name[d.name] = d
 
     dims: dict[str, Dimension] = {}
@@ -147,10 +101,11 @@ def build_hierarchy(decls) -> QuantityTable:
         if name in dims:
             return dims[name]
         if name not in by_name:
-            raise UnknownQuantity(name, loc)
+            raise TypeSystemError("unknown-quantity", f"unknown quantity: {name}", loc)
         if name in visiting:
             cycle = visiting[visiting.index(name):] + [name]
-            raise CyclicSubtype(cycle, loc)
+            message = "cyclic quantity declarations: " + " -> ".join(cycle)
+            raise TypeSystemError("cyclic-subtype", message, loc)
         visiting.append(name)
         d = by_name[name]
         if d.kind == "base":
@@ -202,7 +157,7 @@ def _dim(term: Term, scope: Scope, table: QuantityTable) -> Dimension | None:
             return None
         case Var(name=n):
             if n not in scope:
-                raise UnknownField(n, term.loc)
+                raise TypeSystemError("unknown-field", f"unknown field: {n}", term.loc)
             return table.dimension_of_quantity(scope[n])
         case Neg(operand=t):
             return _dim(t, scope, table)
@@ -215,7 +170,8 @@ def _dim(term: Term, scope: Scope, table: QuantityTable) -> Dimension | None:
                 if dr is None:
                     return dl
                 if dl != dr:
-                    raise DimensionMismatch(dl, dr, term.loc)
+                    message = f"dimension mismatch: {dim_str(dl)} vs {dim_str(dr)}"
+                    raise TypeSystemError("dimension-mismatch", message, term.loc)
                 return dl
             if op == "*":
                 if dl is None:
@@ -256,12 +212,8 @@ def check_assertion_dimensions(a: Assertion, scope: Scope, table: QuantityTable)
     def term_dim(t: Term):
         try:
             return _dim(t, scope, table)
-        except UnknownField as exc:
-            diags.append(Diagnostic("error", "unknown-field", str(exc), exc.loc))
-        except DimensionMismatch as exc:
-            diags.append(Diagnostic("error", "dimension-mismatch", str(exc), exc.loc))
-        except UnknownQuantity as exc:
-            diags.append(Diagnostic("error", "unknown-quantity", str(exc), exc.loc))
+        except TypeSystemError as exc:
+            diags.append(Diagnostic("error", exc.code, str(exc), exc.loc))
         return _FAILED
 
     def walk(node: Assertion) -> None:
@@ -378,7 +330,8 @@ def resolve_operator(
     order; ambiguity is a hard error."""
     applicable = [op for op in overloads.candidates(name) if _applicable(op, arg_types)]
     if not applicable:
-        raise NoMatchingOverload(name, [t.name for t in arg_types])
+        message = f"no overload of {name} matches ({', '.join(t.name for t in arg_types)})"
+        raise TypeSystemError("no-matching-overload", message)
     best = [
         x
         for x in applicable
@@ -388,7 +341,8 @@ def resolve_operator(
         sigs = [
             f"{name}({', '.join(t.name for _, t in op.parameters)})" for op in applicable
         ]
-        raise AmbiguousOverload(name, sorted(sigs))
+        message = f"ambiguous overload of {name}; candidates: {'; '.join(sorted(sigs))}"
+        raise TypeSystemError("ambiguous-overload", message)
     return best[0]
 
 

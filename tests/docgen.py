@@ -122,7 +122,7 @@ def _refinement(rng: random.Random) -> RefinementDecl:
     grid = None
     if rng.random() < 0.5:
         grid = tuple(
-            (_name(rng, "g"), tuple(_rational(rng) for _ in range(rng.randint(1, 4))))
+            (_var(rng).name, tuple(_rational(rng) for _ in range(rng.randint(1, 4))))
             for _ in range(rng.randint(1, 3))
         )
     return RefinementDecl(

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from sccheck.algebra import (
     check_consistency,
     check_refinement,
     compose_contracts,
+    compose_finite,
     interpret_composed_finite,
     verify_min_characterization,
 )
@@ -245,45 +247,54 @@ def test_binding_order_sensitivity_matches_glue_symmetry():
 # ---------------------------------------------------------------------------
 # the composition characterization
 
+# a 4-point and a 10-point parent space: minimality is checked on both
+CHARACTERIZATION_GRIDS = [grid(r=[0, 1, 2, 3]), grid(r=range(10))]
+
+
+def _perturbed(composed, **changes):
+    return replace(composed, contract=replace(composed.contract, **changes))
+
+
 def test_min_characterization_holds_for_series():
     composed = compose(series_op(), C1, C2)
-    g = grid(r=[0, 1, 2, 3])
-    assert verify_min_characterization(composed, g, interpret_composed_finite(composed, g))
+    for g in CHARACTERIZATION_GRIDS:
+        assert verify_min_characterization(composed, g, interpret_composed_finite(composed, g))
+        assert compose_finite(composed, g) == interpret_composed_finite(composed, g)
+
+
+def _assert_rejected(**changes):
+    perturbed = _perturbed(compose(series_op(), C1, C2), **changes)
+    for g in CHARACTERIZATION_GRIDS:
+        assert not verify_min_characterization(perturbed, g, interpret_composed_finite(perturbed, g)), g
 
 
 def test_min_characterization_rejects_weakened_guarantee():
-    from dataclasses import replace
-
-    composed = compose(series_op(), C1, C2)
-    weakened = replace(
-        composed, contract=replace(composed.contract, guarantee=BoolLit(True))
-    )
-    g = grid(r=[0, 1, 2, 3])
-    assert not verify_min_characterization(weakened, g, interpret_composed_finite(weakened, g))
+    _assert_rejected(guarantee=BoolLit(True))
 
 
 def test_min_characterization_rejects_strengthened_guarantee():
-    from dataclasses import replace
-
     # the children implement r = 3, which the strengthened contract forbids
-    composed = compose(series_op(), C1, C2)
-    strengthened = replace(composed, contract=replace(composed.contract, guarantee=FALSE))
-    g = grid(r=[0, 1, 2, 3])
-    assert not verify_min_characterization(strengthened, g, interpret_composed_finite(strengthened, g))
+    _assert_rejected(guarantee=FALSE)
 
 
 def test_min_characterization_rejects_strengthened_assumption():
-    from dataclasses import replace
-
     composed = compose(series_op(), C1, C2)
-    strengthened = replace(
-        composed,
-        contract=replace(
-            composed.contract, assumption=And(composed.contract.assumption, FALSE)
-        ),
-    )
+    _assert_rejected(assumption=And(composed.contract.assumption, FALSE))
+
+
+def test_compose_finite_reads_children_and_glue_only():
+    # a child assumption r >= 1 breaks every parent the glue relates to
+    # c1.r = 0; the composed formulas are never read
+    bounded = contract("B", CELL, "r >= 1", "r = 1")
+    composed = compose(series_op(), bounded, C2)
     g = grid(r=[0, 1, 2, 3])
-    assert not verify_min_characterization(strengthened, g, interpret_composed_finite(strengthened, g))
+    least = compose_finite(_perturbed(composed, assumption=FALSE, guarantee=FALSE), g)
+    envs = {dict(v)["r"] for v in least.environments}
+    impls = {dict(v)["r"] for v in least.implementations}
+    # r = 2 is 0 + 2 with c1 outside its environments, so broken; r = 3 is
+    # 1 + 2 and reached
+    assert envs == {Fraction(0), Fraction(1), Fraction(3)}
+    assert impls == {Fraction(2), Fraction(3)}
 
 
 def test_min_characterization_grid_guard():

@@ -452,3 +452,28 @@ def test_subtype_children_select_the_most_specific_overload(tmp_path, capsys):
     [diag] = json.loads(capsys.readouterr().out)["diagnostics"]
     assert diag["code"] == "subject-type-mismatch" and diag["line"] == 17
     assert "composed subject Resistor" in diag["message"]
+
+
+def test_grid_block_names_qualified_child_fields(tmp_path, capsys):
+    # with P1 assuming tol >= 0, the parent point r = 0 is reached only
+    # through c1.r = -1, which the bare r line does not hold
+    text = SUBTYPE_SPEC.replace("P1 : Precise { assume true;", "P1 : Precise { assume tol >= 0;")
+    spec = tmp_path / "subtype.scspec"
+    readings = []
+    for child_line in ("", "c1.r = -1, 0, 1, 2; "):
+        spec.write_text(text.replace("tol = 0, 1; }", f"tol = -1, 0, 1; {child_line}}}"))
+        main(["check", str(spec), "--obligation", "Mixed", "--oracle", "--format", "json"])
+        [ob] = json.loads(capsys.readouterr().out)["obligations"]
+        readings.append(ob["oracle"]["min_characterization"])
+    assert readings == [False, True]
+
+
+@pytest.mark.parametrize("name", ["zz", "c2.zz", "c3.r", "c2.tol"])
+def test_grid_block_rejects_names_of_no_field(tmp_path, capsys, name):
+    # c2 is bound to R1, a Resistor without tol
+    spec = tmp_path / "subtype.scspec"
+    spec.write_text(SUBTYPE_SPEC.replace("tol = 0, 1; }", f"tol = 0, 1; {name} = 0; }}"))
+    assert main(["check", str(spec), "--oracle", "--format", "json"]) == 3
+    [diag] = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert (diag["code"], diag["line"]) == ("unknown-field", 16)
+    assert diag["message"] == f"refinement Mixed: unknown field in grid: {name}"

@@ -31,6 +31,7 @@ BASE = (
 # (id, document, code, line of the first diagnostic with that code)
 DOCUMENT_CASES = [
     ("syntax-character", "quantity q;\ncomponent C { x: q @ }\n", "syntax", 2),
+    ("syntax-non-ascii-digit", BASE + "contract L : C { assume x = ²; guarantee true; }\n", "syntax", 6),
     ("syntax-end-of-input", "quantity q;\nquantity v", "syntax", 2),
     ("syntax-keyword", BASE + "contract L : C { guarantee x = 1; }\n", "syntax", 6),
     ("syntax-expression", BASE + "contract L : C { assume ; guarantee true; }\n", "syntax", 6),
@@ -51,6 +52,8 @@ DOCUMENT_CASES = [
     ("unknown-binding", BASE + "operator p(a: C) -> C { x = z.x; }\n", "unknown-binding", 6),
     ("unknown-field-glue", BASE + "operator p(a: C) -> C { w = -a.x; }\n", "unknown-field", 6),
     ("unknown-field-contract", BASE + "contract L : C { assume w = 1; guarantee true; }\n", "unknown-field", 6),
+    ("unknown-field-grid", BASE + "refinement R : compose o(K as c) <: K {\n zz = 0, 1;\n x = 0, 1;\n y = 0; }\n",
+     "unknown-field", 6),
     ("dimension-mismatch-term", BASE + "contract L : C { assume x + y = 1; guarantee true; }\n", "dimension-mismatch", 6),
     ("dimension-mismatch-comparison", BASE + "contract L : C { assume not x = x / x; guarantee true; }\n",
      "dimension-mismatch", 6),

@@ -267,6 +267,23 @@ def test_interval_parallel_resistance_point():
     assert (iv.lo, iv.hi) == (1, 1)
 
 
+def test_interval_of_a_square_is_never_negative():
+    iv, _ = interval_eval(expr("x * x"), box(x=(-2, 3)))
+    assert (iv.lo, iv.hi) == (0, 9)
+    iv, _ = interval_eval(expr("(x - 1) * (x - 1)"), {})
+    assert (iv.lo, iv.hi) == (0, None)
+    # a square away from zero and a product of two terms keep their products
+    iv, _ = interval_eval(expr("x * x"), box(x=(-3, -1)))
+    assert (iv.lo, iv.hi) == (1, 9)
+    iv, _ = interval_eval(expr("x * y"), box(x=(-2, 3), y=(-2, 3)))
+    assert (iv.lo, iv.hi) == (-6, 9)
+
+
+@pytest.mark.parametrize("text", ["x * x = -1", "x * x + y * y < 0", "(x + y) * (x + y) < -1/2"])
+def test_negative_squares_are_unsat(text):
+    assert decide_satisfiability(expr(text)).status == "unsat"
+
+
 def test_interval_containment_on_random_terms():
     rng = random.Random(99)
 

@@ -107,6 +107,12 @@ def test_rational_literals_fold_exactly():
         ("x = ", "expected an expression, found 'eof'"),
         ("x = 1 )", "trailing input at 1:7"),
         ("x @ 1", "unexpected character '@'"),
+        # identifiers and numbers are ASCII only
+        ("x² = 1", "unexpected character '²'"),
+        ("x = ①1", "unexpected character '①'"),
+        ("x = ٣3", "unexpected character '٣'"),
+        ("xé = 1", "unexpected character 'é'"),
+        ("x = 1.٣", "unexpected character '٣'"),
     ],
 )
 def test_parse_expression_rejects_bad_input(text, message):
