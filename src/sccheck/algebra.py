@@ -44,7 +44,6 @@ from .model import (
     Implies,
     Interpretation,
     Not,
-    UndefinedTerm,
     Valuation,
     conj,
     disj,
@@ -293,14 +292,7 @@ def compose_finite(composed: ComposedContract, grid: FiniteGrid) -> Interpretati
     def related(assembly: Sequence[Valuation]) -> set[Valuation]:
         """The parent points the glue relates to the assembly."""
         merged = {f"{b}.{f}": x for (b, _), val in zip(composed.bindings, assembly) for f, x in val}
-        out = set()
-        for pv, frozen in points:
-            try:
-                if eval_assertion(composed.glue, {**pv, **merged}):
-                    out.add(frozen)
-            except UndefinedTerm:
-                pass
-        return out
+        return {frozen for pv, frozen in points if eval_assertion(composed.glue, {**pv, **merged})}
 
     impls = [c.implementations for c in children]
     reached: set[Valuation] = set()

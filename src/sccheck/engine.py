@@ -45,6 +45,7 @@ from .model import (
     Valuation,
     Var,
     conj,
+    disj,
     eval_assertion,
     eval_term,
     free_vars,
@@ -138,99 +139,56 @@ def _iv_neg(a: Interval) -> Interval:
     return Interval(None if a.hi is None else -a.hi, None if a.lo is None else -a.lo)
 
 
-_NEG = "-inf"
-_POS = "+inf"
-
-
-def _ends(iv: Interval):
-    return (_NEG if iv.lo is None else iv.lo, _POS if iv.hi is None else iv.hi)
-
-
-def _emul(a, b):
-    # extended-rational product with the interval convention 0 * inf = 0
-    if a == _NEG or a == _POS or b == _NEG or b == _POS:
-        sa = 0 if (a == 0) else (1 if (a == _POS or (a not in (_NEG, _POS) and a > 0)) else -1)
-        sb = 0 if (b == 0) else (1 if (b == _POS or (b not in (_NEG, _POS) and b > 0)) else -1)
-        s = sa * sb
-        if s == 0:
-            return Fraction(0)
-        return _POS if s > 0 else _NEG
-    return a * b
-
-
-def _emin(values):
-    finite = [v for v in values if v not in (_NEG, _POS)]
-    if _NEG in values:
-        return None  # unbounded below
-    return min(finite) if finite else None
-
-
-def _emax(values):
-    finite = [v for v in values if v not in (_NEG, _POS)]
-    if _POS in values:
-        return None
-    return max(finite) if finite else None
+_INF = float("inf")
 
 
 def _iv_mul(a: Interval, b: Interval) -> Interval:
-    alo, ahi = _ends(a)
-    blo, bhi = _ends(b)
-    prods = [_emul(alo, blo), _emul(alo, bhi), _emul(ahi, blo), _emul(ahi, bhi)]
-    return Interval(_emin(prods), _emax(prods))
+    """Product, with 0 * inf = 0. An unbounded end is a float infinity
+    that is compared but never multiplied, so finite ends stay exact."""
+    ends = [(-_INF if a.lo is None else a.lo, _INF if a.hi is None else a.hi),
+            (-_INF if b.lo is None else b.lo, _INF if b.hi is None else b.hi)]
+    prods = [Fraction(0) if x == 0 or y == 0 else x * y if _INF not in (abs(x), abs(y))
+             else _INF if (x > 0) == (y > 0) else -_INF for x in ends[0] for y in ends[1]]
+    lo, hi = min(prods), max(prods)
+    return Interval(None if lo == -_INF else lo, None if hi == _INF else hi)
 
 
-def _iv_contains_zero(a: Interval) -> bool:
-    return (a.lo is None or a.lo <= 0) and (a.hi is None or a.hi >= 0)
+def _iv_inv(a: Interval) -> Interval:
+    """Reciprocal; unbounded for a denominator range through zero."""
+    if a.contains(Fraction(0)):
+        return FULL_INTERVAL
+    # one sign throughout, where 1/x decreases and an unbounded end maps to 0
+    return Interval(Fraction(0) if a.hi is None else 1 / a.hi, Fraction(0) if a.lo is None else 1 / a.lo)
 
 
-def _iv_inv(a: Interval) -> tuple[Interval, bool]:
-    """Reciprocal. Returns (interval, singular) where singular flags a
-    denominator range containing zero; the enclosure is then unbounded."""
-    if _iv_contains_zero(a):
-        return FULL_INTERVAL, True
-    if a.lo is not None and a.lo > 0:
-        lo = Fraction(0) if a.hi is None else 1 / a.hi
-        hi = 1 / a.lo
-        return Interval(lo, hi), False
-    # entirely negative
-    lo = 1 / a.hi  # type: ignore[operator]
-    hi = Fraction(0) if a.lo is None else 1 / a.lo
-    return Interval(lo, hi), False
-
-
-def interval_eval(term: Term, box: Box) -> tuple[Interval, bool]:
-    """Sound enclosure of a term's exact range over a box.
-
-    Returns (interval, singular); singular is set when some division's
-    denominator range contained zero, in which case the enclosure is
-    unbounded rather than silently widened.
-    """
+def interval_eval(term: Term, box: Box) -> Interval:
+    """Sound enclosure of a term's exact values over a box, at the points
+    where the term is defined. An undefined point satisfies no atom, so
+    the enclosure need not cover it."""
     match term:
         case Const(value=v):
-            return Interval(v, v), False
+            return Interval(v, v)
         case Var(name=n):
-            return box.get(n, FULL_INTERVAL), False
+            return box.get(n, FULL_INTERVAL)
         case Neg(operand=t):
-            iv, s = interval_eval(t, box)
-            return _iv_neg(iv), s
+            return _iv_neg(interval_eval(t, box))
         case BinOp(op=op, left=l, right=r):
-            la, sa = interval_eval(l, box)
-            rb, sb = interval_eval(r, box)
-            singular = sa or sb
+            la = interval_eval(l, box)
+            rb = interval_eval(r, box)
             if op == "+":
-                return _iv_add(la, rb), singular
+                return _iv_add(la, rb)
             if op == "-":
-                return _iv_add(la, _iv_neg(rb)), singular
+                return _iv_add(la, _iv_neg(rb))
             if op == "*":
                 product = _iv_mul(la, rb)
                 if l == r and la.contains(Fraction(0)):
                     # a square is never negative
-                    return Interval(Fraction(0), product.hi), singular
-                return product, singular
-            inv, s2 = _iv_inv(rb)
-            if s2:
-                return FULL_INTERVAL, True
-            return _iv_mul(la, inv), singular
+                    return Interval(Fraction(0), product.hi)
+                return product
+            inv = _iv_inv(rb)
+            if inv == FULL_INTERVAL:
+                return inv  # sound too where la is [0, 0], and skips the product
+            return _iv_mul(la, inv)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -266,9 +224,7 @@ def _contract_once(atoms: Sequence[Cmp], box: dict[str, Interval]) -> tuple[bool
             flipped = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "=": "="}[atom.op]
             pairs.append((atom.right.name, atom.left, flipped))
         for name, other, op in pairs:
-            iv, singular = interval_eval(other, box)
-            if singular:
-                continue
+            iv = interval_eval(other, box)
             cur = box.get(name, FULL_INTERVAL)
             if op == "=":
                 new = _intersect(cur, iv)
@@ -286,8 +242,7 @@ def _contract_once(atoms: Sequence[Cmp], box: dict[str, Interval]) -> tuple[bool
 
 def _interval_refute(atoms: Sequence[Cmp], rounds: int = 8) -> bool:
     """Try to prove a conjunction of atoms empty from the bounds its own
-    atoms imply; every variable starts unbounded. An atom whose enclosure
-    has a singular division is skipped."""
+    atoms imply; every variable starts unbounded."""
     box: dict[str, Interval] = {}
     for _ in range(rounds):
         changed, empty = _contract_once(atoms, box)
@@ -296,9 +251,7 @@ def _interval_refute(atoms: Sequence[Cmp], rounds: int = 8) -> bool:
         if not changed:
             break
     for atom in atoms:
-        lv, sl = interval_eval(atom.left, box)
-        rv, sr = interval_eval(atom.right, box)
-        if not (sl or sr or _atom_feasible(atom.op, lv, rv)):
+        if not _atom_feasible(atom.op, interval_eval(atom.left, box), interval_eval(atom.right, box)):
             return True
     return False
 
@@ -846,11 +799,8 @@ def sample_falsify(
             continue
         for var in variables:
             assignment.setdefault(var, Fraction(0))
-        try:
-            if eval_assertion(matrix, assignment):
-                return assignment
-        except UndefinedTerm:
-            continue
+        if eval_assertion(matrix, assignment):
+            return assignment
     return None
 
 
@@ -901,10 +851,7 @@ def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOption
         full = dict(witness)
         for v in matrix_vars:
             full.setdefault(v, Fraction(0))
-        try:
-            return full if eval_assertion(matrix, full) else None
-        except UndefinedTerm:
-            return None
+        return full if eval_assertion(matrix, full) else None
 
     # whatever the exact rungs leave open goes to one sampling pool
     try:
@@ -939,11 +886,51 @@ def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOption
     return SatResult("unknown", reason=reason)
 
 
+def _denominators(node: Assertion | Term) -> list[Term]:
+    """The denominators in a term, or in a formula's atoms outside its
+    existentials, except nonzero constants."""
+    match node:
+        case BinOp(op="/", left=l, right=r):
+            nonzero = isinstance(r, Const) and r.value != 0
+            return _denominators(l) + _denominators(r) + ([] if nonzero else [r])
+        case BinOp() | Cmp() | And() | Or() | Implies():
+            return _denominators(node.left) + _denominators(node.right)
+        case Neg(operand=x) | Not(operand=x):
+            return _denominators(x)
+    return []
+
+
+def _fails(psi: Assertion) -> Assertion:
+    """A formula that holds exactly where psi does not: where its negation
+    holds or psi is undefined. An existential is never undefined, and a
+    literal of the negation is undefined exactly where one of its
+    denominators is 0, so the literals outside existentials gain those."""
+    if not _denominators(psi):
+        return Not(psi)
+
+    def widen(a: Assertion) -> Assertion:
+        match a:
+            case Cmp():
+                return disj([a] + [Cmp("=", d, Const(Fraction(0))) for d in _denominators(a)])
+            case And(left=l, right=r):
+                return And(widen(l), widen(r))
+            case Or(left=l, right=r):
+                return Or(widen(l), widen(r))
+        return a
+
+    return widen(nnf(Not(psi)))
+
+
 def check_implication(
     phi: Assertion, psi: Assertion, opts: EngineOptions = EngineOptions()
 ) -> Verdict:
-    """Is phi -> psi valid? Proved iff phi and not-psi is unsatisfiable."""
-    result = decide_satisfiability(And(phi, Not(psi)), opts)
+    """Is phi -> psi valid? Proved iff phi is unsatisfiable together with
+    the points where psi does not hold; a witness is such a point."""
+    try:
+        fails = _fails(psi)
+    except UndecidableQuantifier:
+        return Verdict(Status.UNKNOWN, reason="universally quantified residue")
+    result = decide_satisfiability(And(phi, fails), opts)
     if result.status == "unsat":
         return Verdict(Status.PROVED)
     if result.status == "sat":

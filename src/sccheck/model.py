@@ -8,11 +8,12 @@ is the pair of valuation sets (environments, implementations) computed by
 :func:`interpret_finite`. That brute-force semantics is the desk-scale
 oracle the symbolic machinery is validated against.
 
-Division by zero makes a term undefined. Formulas over partial terms
-follow strong Kleene semantics: a connective is undefined only when the
-defined side cannot decide it. A formula that stays undefined at a
-valuation raises :class:`UndefinedTerm`, and callers that enumerate
-valuations treat it as *not* satisfied there.
+Division by zero makes a term undefined, and this module decides once
+what that means: a formula that is undefined at a valuation does not hold
+there, and neither does its negation. Inside a formula the connectives
+follow strong Kleene semantics (a connective is undefined only when the
+defined side cannot decide it), and an existential on a grid holds
+exactly where some grid value makes its body true.
 """
 
 from __future__ import annotations
@@ -309,11 +310,12 @@ def _eval3(
     env: Mapping[str, Fraction],
     quantifier_grids: GridLookup | None,
 ) -> bool | None:
-    """Strong-Kleene evaluation: None marks an undefined subformula
-    (division by zero somewhere below), and a connective stays undefined
-    only when the defined side cannot decide it. This keeps boolean
-    simplification, negation normal form, and DNF distribution meaning-
-    preserving on partial terms."""
+    """Strong-Kleene evaluation: None marks an atom with an undefined term
+    (division by zero), and a connective stays undefined only when the
+    defined side cannot decide it. This keeps boolean simplification,
+    negation normal form, and DNF distribution meaning-preserving on
+    partial terms. An existential is never undefined: it holds where some
+    grid value makes its body true."""
     match a:
         case BoolLit(value=v):
             return v
@@ -352,16 +354,12 @@ def _eval3(
         case Exists(names=ns, body=b):
             if quantifier_grids is None:
                 raise ModelError("quantifier in plain evaluation")
-            saw_undefined = False
             for combo in itertools.product(*(quantifier_grids(n) for n in ns)):
                 inner = dict(env)
                 inner.update(zip(ns, combo))
-                value = _eval3(b, inner, quantifier_grids)
-                if value is True:
+                if _eval3(b, inner, quantifier_grids) is True:
                     return True
-                if value is None:
-                    saw_undefined = True
-            return None if saw_undefined else False
+            return False
     raise TypeError(f"not an assertion: {a!r}")
 
 
@@ -371,13 +369,9 @@ def eval_assertion(
     quantifier_grids: GridLookup | None = None,
 ) -> bool:
     """Exact evaluation. Quantifiers range over finite grids when a lookup
-    is supplied and are an error otherwise. An undefined result (division
-    by zero that nothing decides) raises UndefinedTerm; enumerating
-    callers treat such valuations as not satisfying the formula."""
-    value = _eval3(a, env, quantifier_grids)
-    if value is None:
-        raise UndefinedTerm("formula undefined at this valuation")
-    return value
+    is supplied and are an error otherwise. A formula undefined at the
+    valuation (division by zero that nothing decides) does not hold."""
+    return _eval3(a, env, quantifier_grids) is True
 
 
 # ---------------------------------------------------------------------------
@@ -567,17 +561,15 @@ def satisfying_valuations(
 ) -> frozenset[Valuation]:
     """The valuations of the grid that satisfy the formula.
 
-    Quantifiers range over ``quantifier_grids``; a valuation at which the
-    formula is undefined does not satisfy it.
+    Quantifiers range over ``quantifier_grids``. A valuation at which the
+    formula is undefined does not satisfy it, as :func:`eval_assertion`
+    decides.
     """
-    out = set()
-    for env in grid.valuations():
-        try:
-            if eval_assertion(formula, env, quantifier_grids):
-                out.add(freeze_valuation(env))
-        except UndefinedTerm:
-            pass
-    return frozenset(out)
+    return frozenset(
+        freeze_valuation(env)
+        for env in grid.valuations()
+        if eval_assertion(formula, env, quantifier_grids)
+    )
 
 
 def interpret_finite(c: Contract, grid: FiniteGrid) -> Interpretation:

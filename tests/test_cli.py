@@ -210,6 +210,49 @@ def test_falsified_refinement_off_the_grid_is_no_disagreement(tmp_path, capsys):
     assert ob["oracle"]["finite_cross_check"] == "skipped: counterexample off the grid"
 
 
+def test_undefined_glue_relates_nothing_on_both_oracle_sides(tmp_path):
+    # a child value 0 makes the harmonic glue undefined: that assembly
+    # reaches no parent point, and breaks none
+    spec = tmp_path / "par.scspec"
+    spec.write_text(
+        "quantity q;\n"
+        "component T { x: q; }\n"
+        "operator par(a: T, b: T) -> T { x = 1 / (1 / a.x + 1 / b.x); }\n"
+        "contract K : T { assume x >= 1; guarantee x = 2; }\n"
+        "contract S : T { assume true; guarantee true; }\n"
+        "refinement R : compose par(K as c1, K as c2) <: S { x = 0, 1, 2; }\n"
+    )
+    code, report = run_check([str(spec)], CheckOptions(oracle=True, deterministic=True))
+    assert code == 1
+    [ob] = report["obligations"]
+    refinement = ob["checks"][-1]["verdict"]
+    assert refinement["status"] == "falsified" and refinement["side"] == "environment"
+    assert ob["oracle"] == {
+        "finite_refines": True,
+        "finite_cross_check": "skipped: counterexample off the grid",
+        "min_characterization": True,
+    }
+
+
+def test_undefined_guarantee_is_a_counterexample_on_both_oracle_sides(tmp_path):
+    # the abstract guarantee does not hold at x = 0, where it is undefined
+    spec = tmp_path / "undefined.scspec"
+    spec.write_text(
+        "quantity q;\n"
+        "component T { x: q; }\n"
+        "operator id(a: T) -> T { x = a.x; }\n"
+        "contract C : T { assume true; guarantee true; }\n"
+        "contract A : T { assume true; guarantee (1 / x) * 0 = 0; }\n"
+        "refinement R : compose id(C as c) <: A { x = -1, 0, 1; }\n"
+    )
+    code, report = run_check([str(spec)], CheckOptions(oracle=True, deterministic=True))
+    assert code == 1
+    [ob] = report["obligations"]
+    assert ob["checks"][-1]["verdict"] == {"status": "falsified", "witness": {"x": "0"}, "side": "implementation"}
+    assert ob["oracle"]["finite_refines"] is False
+    assert ob["oracle"]["finite_cross_check"] == "agree"
+
+
 def test_bound_outside_the_contract_never_falsifies(tmp_path, capsys):
     # x = y = 10^7 implements the guarantee, beyond the default sampling box
     spec = tmp_path / "square.scspec"

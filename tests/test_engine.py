@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import expr, grid
+from helpers import component, contract, expr, grid
+from sccheck.algebra import check_consistency
 from sccheck.engine import (
     Constraint,
     DnfCapExceeded,
@@ -222,6 +223,24 @@ def test_implication_true_implies_true():
     assert check_implication(expr("true"), expr("true")).status is Status.PROVED
 
 
+@pytest.mark.parametrize("psi", ["(1 / x) * 0 = 0", "(1 / x) * (1 / x) >= 0", "x = 1 or not (1 / x = 2)"])
+def test_implication_fails_where_the_consequent_is_undefined(psi):
+    # at x = 0 the consequent does not hold, and neither does its negation
+    v = check_implication(expr("true"), expr(psi))
+    assert v.status is Status.FALSIFIED and v.witness == {"x": 0}
+    assert not eval_assertion(expr(psi), v.witness)
+
+
+def test_implication_proved_where_the_premise_excludes_a_zero_denominator():
+    assert check_implication(expr("x >= 1"), expr("1 / x >= 0")).status is Status.PROVED
+    # an existential is never undefined, and its body is left as it is
+    psi = And(expr("1 / x >= 0"), Not(Exists(("c",), expr("c = 1 / x and c < 0"))))
+    assert check_implication(expr("x >= 1"), psi).status is Status.PROVED
+    # a positive existential needs universal reasoning once negated
+    psi = And(expr("1 / x >= 0"), Exists(("c",), expr("c = x")))
+    assert check_implication(expr("x >= 1"), psi).reason == "universally quantified residue"
+
+
 def test_implication_never_proved_when_sampler_finds_witness():
     rng = random.Random(11)
     for _ in range(60):
@@ -244,44 +263,49 @@ def box(**kw):
 
 
 def test_interval_product_of_positives():
-    iv, singular = interval_eval(expr("u * i"), box(u=(1, 2), i=(3, 4)))
+    iv = interval_eval(expr("u * i"), box(u=(1, 2), i=(3, 4)))
     assert (iv.lo, iv.hi) == (3, 8)
-    assert not singular
 
 
-def test_interval_division_through_zero_flags_singularity():
-    iv, singular = interval_eval(expr("1 / r"), box(r=(-1, 1)))
-    assert singular
+def test_interval_division_through_zero_is_unbounded():
+    iv = interval_eval(expr("1 / r"), box(r=(-1, 1)))
     assert iv.lo is None and iv.hi is None
 
 
 def test_interval_of_a_negated_product():
-    iv, singular = interval_eval(expr("-x * y"), box(x=(1, 2), y=(3, 4)))
-    assert (iv.lo, iv.hi, singular) == (-8, -3, False)
+    iv = interval_eval(expr("-x * y"), box(x=(1, 2), y=(3, 4)))
+    assert (iv.lo, iv.hi) == (-8, -3)
     assert not iv.contains(Fraction(-9)) and not iv.contains(Fraction(-2))
 
 
 def test_interval_parallel_resistance_point():
-    iv, singular = interval_eval(expr("1 / (1 / r1 + 1 / r2)"), box(r1=(2, 2), r2=(2, 2)))
-    assert not singular
+    iv = interval_eval(expr("1 / (1 / r1 + 1 / r2)"), box(r1=(2, 2), r2=(2, 2)))
     assert (iv.lo, iv.hi) == (1, 1)
 
 
 def test_interval_of_a_square_is_never_negative():
-    iv, _ = interval_eval(expr("x * x"), box(x=(-2, 3)))
+    iv = interval_eval(expr("x * x"), box(x=(-2, 3)))
     assert (iv.lo, iv.hi) == (0, 9)
-    iv, _ = interval_eval(expr("(x - 1) * (x - 1)"), {})
+    iv = interval_eval(expr("(x - 1) * (x - 1)"), {})
     assert (iv.lo, iv.hi) == (0, None)
     # a square away from zero and a product of two terms keep their products
-    iv, _ = interval_eval(expr("x * x"), box(x=(-3, -1)))
+    iv = interval_eval(expr("x * x"), box(x=(-3, -1)))
     assert (iv.lo, iv.hi) == (1, 9)
-    iv, _ = interval_eval(expr("x * y"), box(x=(-2, 3), y=(-2, 3)))
+    iv = interval_eval(expr("x * y"), box(x=(-2, 3), y=(-2, 3)))
     assert (iv.lo, iv.hi) == (-6, 9)
 
 
 @pytest.mark.parametrize("text", ["x * x = -1", "x * x + y * y < 0", "(x + y) * (x + y) < -1/2"])
 def test_negative_squares_are_unsat(text):
     assert decide_satisfiability(expr(text)).status == "unsat"
+
+
+def test_enclosure_ignores_points_where_a_division_is_undefined():
+    # (1 / x) * 0 is 0 wherever it is defined, and x = 0 satisfies no atom
+    formula = "y = (1 / x) * 0 and y = 1"
+    assert decide_satisfiability(expr(formula)).status == "unsat"
+    k = contract("K", component("T", "x:q", "y:q"), "true", formula)
+    assert check_consistency(k).status is Status.FALSIFIED
 
 
 def test_interval_containment_on_random_terms():
@@ -303,7 +327,7 @@ def test_interval_containment_on_random_terms():
             hi = lo + rng.randint(0, 4)
             b[name] = Interval(lo, hi)
             sample[name] = lo + Fraction(rng.randint(0, int((hi - lo) * 2)), 2) if hi > lo else lo
-        iv, _ = interval_eval(term, b)
+        iv = interval_eval(term, b)
         try:
             value = eval_term(term, sample)
         except Exception:

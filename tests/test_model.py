@@ -213,21 +213,21 @@ def test_division_by_zero_is_not_a_model():
 
 
 def test_partial_terms_follow_kleene_semantics():
-    import pytest as _pytest
-
-    from sccheck.model import UndefinedTerm
-
     zero = {"r": Fraction(0)}
     # a defined true side decides a disjunction; a defined false side
     # decides a conjunction
     assert eval_assertion(expr("1 / r = 1 or r = 0"), zero)
     assert not eval_assertion(expr("1 / r = 1 and r = 1"), zero)
     assert eval_assertion(expr("r = 1 implies 1 / r = 1"), zero)
-    # nothing decides it: undefined
-    with _pytest.raises(UndefinedTerm):
-        eval_assertion(expr("1 / r = 1"), zero)
-    with _pytest.raises(UndefinedTerm):
-        eval_assertion(expr("not (1 / r = 1)"), zero)
+    # nothing decides it: undefined, so neither it nor its negation holds
+    assert not eval_assertion(expr("1 / r = 1"), zero)
+    assert not eval_assertion(expr("not (1 / r = 1)"), zero)
+    # an existential holds where some grid value makes its body true
+    has_reciprocal = Exists(("c",), expr("x = 1 / c"))
+    lookup = grid(c=[0, 1]).lookup
+    assert eval_assertion(has_reciprocal, {"x": Fraction(1)}, lookup)
+    assert not eval_assertion(has_reciprocal, {"x": Fraction(2)}, lookup)
+    assert eval_assertion(Not(has_reciprocal), {"x": Fraction(2)}, lookup)
 
 
 def test_qualify_prefixes_all_free_variables():
