@@ -14,6 +14,12 @@ there, and neither does its negation. Inside a formula the connectives
 follow strong Kleene semantics (a connective is undefined only when the
 defined side cannot decide it), and an existential on a grid holds
 exactly where some grid value makes its body true.
+
+An existential is evaluated as a join over its body's conjuncts: those
+over bound names alone filter the bound grid once per evaluation pass, and
+each valuation then checks the surviving tuples against the remaining
+conjuncts. The meaning is that of trying every grid tuple at every
+valuation; only the work differs.
 """
 
 from __future__ import annotations
@@ -305,17 +311,50 @@ def _compare(op: str, a: Fraction, b: Fraction) -> bool:
 GridLookup = Callable[[str], tuple[Fraction, ...]]
 
 
-def _eval3(
-    a: Assertion,
-    env: Mapping[str, Fraction],
-    quantifier_grids: GridLookup | None,
-) -> bool | None:
+@dataclass
+class _Joins:
+    """A grid lookup and, per existential node met in one evaluation pass,
+    its join: the bound-name valuations that make every conjunct over bound
+    names alone true, and the body's other conjuncts."""
+
+    lookup: GridLookup
+    # keyed by identity: the formula under evaluation keeps its nodes alive
+    # for the whole pass, and the pass drops this object
+    built: dict[int, tuple[list[dict[str, Fraction]], list[Assertion]]] = field(default_factory=dict)
+
+    def join(self, node: Exists) -> tuple[list[dict[str, Fraction]], list[Assertion]]:
+        if id(node) not in self.built:
+            bound = frozenset(node.names)
+            own: list[Assertion] = []
+            rest: list[Assertion] = []
+            for c in _conjuncts(node.body):
+                (own if free_vars(c) <= bound else rest).append(c)
+            survivors = []
+            for combo in itertools.product(*(self.lookup(n) for n in node.names)):
+                values = dict(zip(node.names, combo))
+                if all(_eval3(c, values, self) is True for c in own):
+                    survivors.append(values)
+            self.built[id(node)] = survivors, rest
+        return self.built[id(node)]
+
+
+def _conjuncts(a: Assertion) -> list[Assertion]:
+    return _conjuncts(a.left) + _conjuncts(a.right) if isinstance(a, And) else [a]
+
+
+def _eval3(a: Assertion, env: Mapping[str, Fraction], joins: _Joins | None) -> bool | None:
     """Strong-Kleene evaluation: None marks an atom with an undefined term
     (division by zero), and a connective stays undefined only when the
     defined side cannot decide it. This keeps boolean simplification,
     negation normal form, and DNF distribution meaning-preserving on
-    partial terms. An existential is never undefined: it holds where some
-    grid value makes its body true."""
+    partial terms.
+
+    An existential is never undefined: it holds where some grid value makes
+    its body true. A conjunction is true exactly when every conjunct is, so
+    the conjuncts over bound names alone filter the bound grid once per
+    pass (:meth:`_Joins.join`), and the existential holds iff some
+    surviving tuple makes every other conjunct true: the same answer as
+    trying the whole bound grid at every valuation, for less work."""
     match a:
         case BoolLit(value=v):
             return v
@@ -325,39 +364,39 @@ def _eval3(
             except UndefinedTerm:
                 return None
         case Not(operand=x):
-            inner = _eval3(x, env, quantifier_grids)
+            inner = _eval3(x, env, joins)
             return None if inner is None else not inner
         case And(left=l, right=r):
-            lv = _eval3(l, env, quantifier_grids)
+            lv = _eval3(l, env, joins)
             if lv is False:
                 return False
-            rv = _eval3(r, env, quantifier_grids)
+            rv = _eval3(r, env, joins)
             if rv is False:
                 return False
             return None if lv is None or rv is None else True
         case Or(left=l, right=r):
-            lv = _eval3(l, env, quantifier_grids)
+            lv = _eval3(l, env, joins)
             if lv is True:
                 return True
-            rv = _eval3(r, env, quantifier_grids)
+            rv = _eval3(r, env, joins)
             if rv is True:
                 return True
             return None if lv is None or rv is None else False
         case Implies(left=l, right=r):
-            lv = _eval3(l, env, quantifier_grids)
+            lv = _eval3(l, env, joins)
             if lv is False:
                 return True
-            rv = _eval3(r, env, quantifier_grids)
+            rv = _eval3(r, env, joins)
             if rv is True:
                 return True
             return None if lv is None or rv is None else False
-        case Exists(names=ns, body=b):
-            if quantifier_grids is None:
+        case Exists():
+            if joins is None:
                 raise ModelError("quantifier in plain evaluation")
-            for combo in itertools.product(*(quantifier_grids(n) for n in ns)):
-                inner = dict(env)
-                inner.update(zip(ns, combo))
-                if _eval3(b, inner, quantifier_grids) is True:
+            survivors, rest = joins.join(a)
+            for values in survivors:
+                inner = {**env, **values}
+                if all(_eval3(c, inner, joins) is True for c in rest):
                     return True
             return False
     raise TypeError(f"not an assertion: {a!r}")
@@ -366,11 +405,15 @@ def _eval3(
 def eval_assertion(
     a: Assertion,
     env: Mapping[str, Fraction],
-    quantifier_grids: GridLookup | None = None,
+    quantifier_grids: GridLookup | _Joins | None = None,
 ) -> bool:
     """Exact evaluation. Quantifiers range over finite grids when a lookup
     is supplied and are an error otherwise. A formula undefined at the
-    valuation (division by zero that nothing decides) does not hold."""
+    valuation (division by zero that nothing decides) does not hold. The
+    joins built for the existentials last this call, unless the caller
+    passes the ``_Joins`` of a longer pass."""
+    if quantifier_grids is not None and not isinstance(quantifier_grids, _Joins):
+        quantifier_grids = _Joins(quantifier_grids)
     return _eval3(a, env, quantifier_grids) is True
 
 
@@ -565,10 +608,9 @@ def satisfying_valuations(
     formula is undefined does not satisfy it, as :func:`eval_assertion`
     decides.
     """
+    joins = None if quantifier_grids is None else _Joins(quantifier_grids)
     return frozenset(
-        freeze_valuation(env)
-        for env in grid.valuations()
-        if eval_assertion(formula, env, quantifier_grids)
+        freeze_valuation(env) for env in grid.valuations() if eval_assertion(formula, env, joins)
     )
 
 

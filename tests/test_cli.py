@@ -189,6 +189,60 @@ def test_oracle_interprets_each_composed_contract_once(monkeypatch):
     assert len(calls) == 3  # one per corpus obligation
 
 
+def _oracle_eval_terms(monkeypatch, paths):
+    """The report of ``run_check --oracle`` on the paths, and the number of
+    ``model.eval_term`` calls made while ``interpret_composed_finite`` runs."""
+    import sccheck.algebra
+    import sccheck.cli
+    import sccheck.model
+
+    inside, calls = [False], [0]
+
+    def counted(*args, _original=sccheck.model.eval_term):
+        calls[0] += inside[0]
+        return _original(*args)
+
+    monkeypatch.setattr(sccheck.model, "eval_term", counted)
+    for module in (sccheck.algebra, sccheck.cli):
+        def interpreting(*args, _original=module.interpret_composed_finite):
+            inside[0] = True
+            try:
+                return _original(*args)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(module, "interpret_composed_finite", interpreting)
+    _, report = run_check(paths, CheckOptions(deterministic=True, oracle=True))
+    return report, calls[0]
+
+
+def test_oracle_filters_each_residue_grid_once(monkeypatch):
+    # enumerating every child tuple at every parent point made 110,480 calls
+    _, calls = _oracle_eval_terms(monkeypatch, [CORPUS])
+    assert 0 < calls < 11_048
+
+
+def test_oracle_on_a_three_child_harmonic_residue(monkeypatch, tmp_path):
+    spec = tmp_path / "par3.scspec"
+    spec.write_text(
+        "quantity q;\n"
+        "component T { x: q; y: q; }\n"
+        "operator par3(a: T, b: T, c: T) -> T { x = 1 / (1 / a.x + 1 / b.x + 1 / c.x); y = a.y; b.y = a.y; c.y = a.y; }\n"
+        "contract K : T { assume x >= 1; guarantee x <= 2 and y >= x - 1; }\n"
+        "contract S : T { assume x >= 1; guarantee x <= 1; }\n"
+        "refinement R : compose par3(K as c1, K as c2, K as c3) <: S { x = 0, 1, 2, 3; y = 0, 1, 2; }\n"
+    )
+    report, calls = _oracle_eval_terms(monkeypatch, [str(spec)])
+    [ob] = report["obligations"]
+    assert ob["oracle"] == {
+        "finite_refines": True,
+        "finite_cross_check": "skipped: counterexample off the grid",
+        "min_characterization": True,
+    }
+    # enumerating every child tuple at every parent point made 863,162 calls
+    assert 0 < calls < 86_316
+
+
 def test_falsified_refinement_off_the_grid_is_no_disagreement(tmp_path, capsys):
     # the environment-side counterexample (x=55/38, y=-8) lies off the grid,
     # where the finite refinement holds

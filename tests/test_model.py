@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,12 +21,14 @@ from sccheck.model import (
     Interpretation,
     Not,
     Or,
+    conj,
     eval_assertion,
     free_vars,
     freeze_valuation,
     interpret_finite,
     qualify,
     refines_finite,
+    satisfying_valuations,
     saturate,
     simplify_bools,
 )
@@ -259,3 +262,81 @@ def test_eval_exact_rationals():
     e = expr("r = 2/3")
     assert eval_assertion(e, {"r": Fraction(2, 3)})
     assert not eval_assertion(e, {"r": Fraction(667, 1000)})
+
+
+# ---------------------------------------------------------------------------
+# existentials: the join against plain enumeration
+
+def _enumerated(a, env, lookup):
+    """Reference strong-Kleene evaluation whose existential tries every grid
+    tuple at every valuation."""
+    match a:
+        case Exists(names=ns, body=b):
+            combos = itertools.product(*map(lookup, ns))
+            return any(_enumerated(b, {**env, **dict(zip(ns, c))}, lookup) is True for c in combos)
+        case Not(operand=x):
+            v = _enumerated(x, env, lookup)
+            return None if v is None else not v
+        case And(left=l, right=r) | Or(left=l, right=r):
+            vs = {_enumerated(l, env, lookup), _enumerated(r, env, lookup)}
+            decides = isinstance(a, Or)  # the operand value that decides the connective
+            return decides if decides in vs else None if None in vs else not decides
+    return True if eval_assertion(a, env) else False if eval_assertion(Not(a), env) else None
+
+
+def _assert_join_is_enumeration(e, rng):
+    """Over a random grid for the free x, y and the bound a, b, c (x may be
+    bound too), under three contexts of the existential."""
+    g = FiniteGrid.of({n: rng.sample(range(-2, 3), rng.randint(2, 4)) for n in "abcxy"})
+    for formula in (e, Not(e), And(expr("x <= y"), e)):
+        sub = g.restrict(["x", "y"])
+        expected = {freeze_valuation(v) for v in sub.valuations() if _enumerated(formula, v, g.lookup)}
+        assert satisfying_valuations(formula, sub, g.lookup) == expected, formula
+
+
+SHAPES = {
+    "bound only": Exists(("a", "b"), expr("a + b >= 1 and a * b != 2 and a < b")),
+    "mixed only": Exists(("a", "b"), expr("a + y = x and b <= y")),
+    "ground": Exists(("a",), expr("1 = 1 and a = y")),
+    "ground undefined": Exists(("a",), expr("1 / 0 = 0 and a = y")),
+    "or body": Exists(("a", "b"), expr("a = x or b * y = 1")),
+    "nested": Exists(("a",), And(expr("a >= y"), Exists(("b",), expr("b = a + x and b * b > 1")))),
+    "nested shadowing the outer name": Exists(("a",), And(expr("a = x"), Exists(("a",), expr("a * a = y")))),
+    "undefined bound only": Exists(("a", "b"), expr("1 / a = b and b != y")),
+    "undefined mixed": Exists(("a",), expr("a >= 0 and a = 1 / (x - y)")),
+    "no survivor": Exists(("a", "b"), expr("a * a < 0 and a = x and b = y")),
+    "shadowing": Exists(("x",), expr("x = y + 1 and x * y >= 0")),
+}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("seed", range(5))
+def test_exists_join_equals_enumeration_on_each_body_shape(shape, seed):
+    _assert_join_is_enumeration(SHAPES[shape], random.Random(seed))
+
+
+TERMS = ("a", "b", "x", "y", "1", "0", "a + b", "a * y", "1 / a", "1 / (b - y)", "x - a", "a * a")
+
+
+def _random_conjunct(rng):
+    atom = f"{rng.choice(TERMS)} {rng.choice(('<=', '<', '=', '>=', '>', '!='))} {rng.choice(TERMS)}"
+    if rng.random() < 0.2:
+        return Or(expr(atom), _random_conjunct(rng))
+    if rng.random() < 0.15:
+        return Exists(("c",), conj([expr("c != x"), _random_conjunct(rng)]))
+    return expr(atom)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_exists_join_equals_enumeration_on_random_bodies(seed):
+    rng = random.Random(seed)
+    names = ("a", "b", "x")[: rng.randint(2, 3)]  # a bound x shadows the free one
+    body = conj([_random_conjunct(rng) for _ in range(rng.randint(1, 4))])
+    _assert_join_is_enumeration(Exists(names, body), rng)
+
+
+def test_a_filter_with_no_survivor_makes_the_existential_false_everywhere():
+    e = SHAPES["no survivor"]
+    g = grid(a=[-1, 0, 1], b=[0, 1], x=[0, 1], y=[0, 1])
+    assert satisfying_valuations(e, g.restrict(["x", "y"]), g.lookup) == frozenset()
+    assert len(satisfying_valuations(Not(e), g.restrict(["x", "y"]), g.lookup)) == 4
