@@ -10,9 +10,10 @@ Composition builds, over parent fields and binding-qualified child fields,
 and then projects the children out: the composed guarantee is the
 existential projection of the guarantee body, the composed assumption the
 negated existential projection of the assumption body. Projections are
-exact (Fourier-Motzkin) when the bodies are linear; otherwise the
-quantified residue is retained and downstream checks run the
-interval/sampling ladder on it.
+exact (Fourier-Motzkin) when the bodies are linear, with each distinct
+projected system kept once and a system that another's constraints
+subsume dropped; otherwise the quantified residue is retained and
+downstream checks run the interval/sampling ladder on it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 from .engine import (
+    Constraint,
     DnfCapExceeded,
     EngineOptions,
+    LinearSystem,
     NonlinearDisjunct,
     Status,
     Verdict,
@@ -97,20 +100,22 @@ def _as_contract(c: Union[Contract, ComposedContract]) -> Contract:
 def _try_project_exists(
     body: Assertion, elim_vars: Sequence[str], cap: int
 ) -> Assertion | None:
-    """Exact existential projection when the body is linear, else None."""
+    """Exact existential projection when the body is linear, else None.
+    Each projected system is kept once, by its constraint set, in first-seen
+    order; one that contains another's constraints is subsumed and dropped."""
     try:
         dnf = normalize(body, cap)
     except DnfCapExceeded:
         return None
-    parts: list[Assertion] = []
+    systems: dict[frozenset[Constraint], LinearSystem] = {}
     for d in dnf.disjuncts:
         if isinstance(d, NonlinearDisjunct):
             return None
         projected = fm_project(d, list(elim_vars))
-        if projected.trivially_unsat():
-            continue
-        parts.append(system_to_assertion(projected))
-    return disj(parts)
+        if not projected.trivially_unsat():
+            systems.setdefault(frozenset(projected.constraints), projected)
+    kept = [s for key, s in systems.items() if not any(other < key for other in systems)]
+    return disj([system_to_assertion(s) for s in kept])
 
 
 def compose_contracts(

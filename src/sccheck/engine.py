@@ -4,7 +4,9 @@ The decision ladder, in order:
 
 1. linear formulas are decided exactly by Fourier-Motzkin elimination on
    the DNF, with witnesses rebuilt by back-substitution through the
-   elimination stack;
+   elimination stack. Distribution drops each partial conjunction that
+   interval contraction refutes, and every linear system keeps only the
+   tightest bound per coefficient vector;
 2. otherwise exact-rational interval contraction tries to prove each
    nonlinear disjunct empty from the bounds its own atoms imply, with
    every variable starting unbounded;
@@ -45,6 +47,7 @@ from .model import (
     Valuation,
     Var,
     conj,
+    conjuncts,
     disj,
     eval_assertion,
     eval_term,
@@ -475,7 +478,13 @@ def _linearize_atom(atom: Cmp) -> Optional[list[Constraint] | bool]:
 
 
 def _dnf_atom_lists(a: Assertion, cap: int) -> list[list[Cmp]]:
-    """Distribute an NNF, quantifier-free formula into lists of atoms."""
+    """Distribute an NNF, quantifier-free formula into lists of atoms.
+
+    A conjunction distributes left to right, in lexicographic order. After
+    each conjunct that branches, the partial conjunctions that interval
+    contraction refutes are dropped: they are empty, and so is every
+    extension of them. The cap bounds each product about to be built.
+    """
     match a:
         case BoolLit(value=v):
             return [[]] if v else []
@@ -488,13 +497,28 @@ def _dnf_atom_lists(a: Assertion, cap: int) -> list[list[Cmp]]:
             if len(out) > cap:
                 raise DnfCapExceeded(cap)
             return out
-        case And(left=l, right=r):
-            left_lists = _dnf_atom_lists(l, cap)
-            right_lists = _dnf_atom_lists(r, cap)
-            if len(left_lists) * len(right_lists) > cap:
-                raise DnfCapExceeded(cap)
-            return [ll + rl for ll in left_lists for rl in right_lists]
+        case And():
+            out = [[]]
+            for part in conjuncts(a):
+                lists = _dnf_atom_lists(part, cap)
+                if len(out) * len(lists) > cap:
+                    raise DnfCapExceeded(cap)
+                out = [ll + rl for ll in out for rl in lists]
+                if len(lists) > 1:
+                    out = [atoms for atoms in out if not _interval_refute(atoms)]
+            return out
     raise TypeError(f"unexpected node in NNF matrix: {a!r}")
+
+
+def _tightest(constraints: Sequence[Constraint]) -> tuple[Constraint, ...]:
+    """One constraint per coefficient vector, at its first position: the
+    least bound, strict on ties. The conjunction is unchanged."""
+    best: dict[tuple[tuple[str, Fraction], ...], Constraint] = {}
+    for c in constraints:
+        old = best.get(c.coeffs)
+        if old is None or c.bound < old.bound or (c.bound == old.bound and c.strict):
+            best[c.coeffs] = c
+    return tuple(best.values())
 
 
 def _build_disjunct(atoms: Sequence[Cmp]) -> Optional[Disjunct]:
@@ -513,15 +537,19 @@ def _build_disjunct(atoms: Sequence[Cmp]) -> Optional[Disjunct]:
             constraints.extend(lin)
     if nonlinear:
         return NonlinearDisjunct(tuple(atoms))
-    return LinearSystem(tuple(constraints))
+    return LinearSystem(_tightest(constraints))
 
 
 def normalize(a: Assertion, cap: int = DEFAULT_DNF_CAP) -> Dnf:
     """Negation normal form, then DNF with a disjunct cap.
 
-    `!=` splits into two strict disjuncts and linear equations become <=
-    pairs; a disjunct containing a nonlinear atom is kept as a
-    NonlinearDisjunct carrying its original atoms.
+    Conjunctions distribute left to right, and a partial conjunction that
+    interval contraction refutes is dropped before it is extended, so the
+    cap counts only the conjunctions kept. `!=` splits into two strict
+    disjuncts and linear equations become <= pairs; a linear disjunct keeps
+    the tightest bound per coefficient vector, and a disjunct containing a
+    nonlinear atom is kept as a NonlinearDisjunct carrying its original
+    atoms.
     """
     matrix = nnf(simplify_bools(a))
     disjuncts = []
@@ -580,30 +608,37 @@ def fm_eliminate(system: LinearSystem, var: str) -> LinearSystem:
             if combined.is_ground() and combined.ground_truth():
                 continue
             out.append(combined)
-    return LinearSystem(tuple(out))
+    return LinearSystem(_tightest(out))
 
 
-def _elimination_order(system: LinearSystem, candidates: Sequence[str]) -> str:
+def _pairings(system: LinearSystem) -> dict[str, int]:
+    """For each variable of the system, lower bounds times upper bounds: the
+    constraints eliminating it pairs up. One pass over the constraints."""
+    counts: dict[str, list[int]] = {}
+    for c in system.constraints:
+        for name, k in c.coeffs:
+            counts.setdefault(name, [0, 0])[k > 0] += 1
+    return {name: lowers * uppers for name, (lowers, uppers) in counts.items()}
+
+
+def _elimination_order(pairings: Mapping[str, int], candidates: Sequence[str]) -> str:
     """Pick the next variable: fewest lower*upper pairings, ties by name."""
-    best = None
-    best_key = None
-    for var in sorted(candidates):
-        lowers, uppers, _ = _split_on(system, var)
-        key = (len(lowers) * len(uppers), var)
-        if best_key is None or key < best_key:
-            best, best_key = var, key
-    assert best is not None
-    return best
+    return min(candidates, key=lambda v: (pairings.get(v, 0), v))
 
 
 def fm_project(system: LinearSystem, variables: Sequence[str]) -> LinearSystem:
-    """Eliminate several variables with the pairing-count heuristic."""
+    """Eliminate several variables with the pairing-count heuristic; stops
+    early at a ground contradiction."""
     current = system
-    remaining = [v for v in variables if any(c.coeff(v) != 0 for c in current.constraints)]
-    while remaining:
-        var = _elimination_order(current, remaining)
+    remaining = list(variables)
+    while not current.trivially_unsat():
+        pairings = _pairings(current)
+        remaining = [v for v in remaining if v in pairings]
+        if not remaining:
+            break
+        var = _elimination_order(pairings, remaining)
         current = fm_eliminate(current, var)
-        remaining = [v for v in remaining if v != var and any(c.coeff(v) != 0 for c in current.constraints)]
+        remaining.remove(var)
     return current
 
 
@@ -648,7 +683,7 @@ def fm_witness(system: LinearSystem) -> Optional[dict[str, Fraction]]:
     while remaining:
         if current.trivially_unsat():
             return None
-        var = _elimination_order(current, remaining)
+        var = _elimination_order(_pairings(current), remaining)
         lowers, uppers, _ = _split_on(current, var)
         stack.append((var, lowers, uppers))
         current = fm_eliminate(current, var)

@@ -327,7 +327,7 @@ class _Joins:
             bound = frozenset(node.names)
             own: list[Assertion] = []
             rest: list[Assertion] = []
-            for c in _conjuncts(node.body):
+            for c in conjuncts(node.body):
                 (own if free_vars(c) <= bound else rest).append(c)
             survivors = []
             for combo in itertools.product(*(self.lookup(n) for n in node.names)):
@@ -338,8 +338,9 @@ class _Joins:
         return self.built[id(node)]
 
 
-def _conjuncts(a: Assertion) -> list[Assertion]:
-    return _conjuncts(a.left) + _conjuncts(a.right) if isinstance(a, And) else [a]
+def conjuncts(a: Assertion) -> list[Assertion]:
+    """The conjuncts of an `And` chain, left to right."""
+    return conjuncts(a.left) + conjuncts(a.right) if isinstance(a, And) else [a]
 
 
 def _eval3(a: Assertion, env: Mapping[str, Fraction], joins: _Joins | None) -> bool | None:

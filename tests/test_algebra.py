@@ -19,14 +19,18 @@ from sccheck.algebra import (
     verify_min_characterization,
 )
 from sccheck.engine import Status, check_implication
+from sccheck.formatter import format_expr
+from sccheck.loader import elaborate
 from sccheck.model import (
     And,
     BoolLit,
     FALSE,
+    Or,
     eval_assertion,
     interpret_finite,
     refines_finite,
 )
+from sccheck.parser import parse_spec
 
 C1 = contract("C1", CELL, "true", "r = 1")
 C2 = contract("C2", CELL, "true", "r = 2")
@@ -328,3 +332,45 @@ def test_universal_residue_yields_honest_unknown():
     v = check_compatibility(composed)
     assert v.status is Status.UNKNOWN
     assert "universal" in v.reason
+
+
+def _banded_series(n):
+    """n cells in series through one current, each assuming a band on it."""
+    names = [f"a{k}" for k in range(n)]
+    glue = [f"r = {' + '.join(f'{b}.r' for b in names)};", "i = a0.i;"] + [f"{b}.i = a0.i;" for b in names[1:]]
+    return (
+        "quantity voltage;\nquantity current;\nquantity resistance = voltage / current;\n"
+        "component Cell { r: resistance; i: current; }\n"
+        f"operator series{n}({', '.join(f'{b}: Cell' for b in names)}) -> Cell {{ {' '.join(glue)} }}\n"
+        "contract Part : Cell { assume 0 <= i and i <= 1; guarantee 1 <= r and r <= 2; }\n"
+        f"contract Spec : Cell {{ assume 0 <= i and i <= 1; guarantee {n} <= r and r <= {2 * n}; }}\n"
+        f"refinement R : compose series{n}({', '.join(f'Part as {b}' for b in names)}) <: Spec;\n"
+    )
+
+
+def _banded_obligation(n):
+    universe, diags = elaborate(parse_spec(_banded_series(n)).document)
+    assert not diags
+    [ob] = universe.obligations
+    return ob, compose_contracts(ob.operator, ob.bindings)
+
+
+def _disjuncts(a):
+    return _disjuncts(a.left) + _disjuncts(a.right) if isinstance(a, Or) else [a]
+
+
+def test_banded_series_projects_to_distinct_systems():
+    _, composed = _banded_obligation(2)
+    assert composed.projection == "exact"
+    # below the band, above it, or the sum of two resistances in [1, 2]
+    assert len(_disjuncts(composed.contract.guarantee)) == 3
+    assert format_expr(composed.contract.assumption) == "not (i < 0 or -i < -1)"
+
+
+def test_six_cells_in_series_stay_exact_and_proved():
+    # unpruned, the assumption body distributes into 3^6 * 12 combinations,
+    # past the 4096 cap
+    ob, composed = _banded_obligation(6)
+    assert composed.projection == "exact"
+    assert check_refinement(composed, ob.abstract).status is Status.PROVED
+    assert check_compatibility(composed).status is Status.PROVED

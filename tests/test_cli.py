@@ -473,6 +473,34 @@ def test_dnf_cap_keeps_the_residue(tmp_path):
     assert run_check([str(spec)], CheckOptions(deterministic=True))[1]["obligations"][0]["projection"] == "exact"
 
 
+# a random linear ladder whose leaf has no environments: y <= 0 or y >= 1/2 holds
+# everywhere, so the negated assumption is valid
+UNSAT_LEAF_SPEC = """\
+quantity q;
+component T { x: q; y: q; }
+operator id(a: T) -> T { x = a.x; y = a.y; }
+contract C : T {
+  assume not ((((3 * y) <= 0) and ((2 * x + 1 * y) > -2)) or (not (((-2 * y) < 1) and ((0 * x + 2 * y) < -4))));
+  guarantee (1 * x + 0 * y) > -3;
+}
+contract A : T {
+  assume (1 * x + -3 * y) > -1;
+  guarantee (1 * x + 1 * y) = 2;
+}
+refinement R : compose id(C as c) <: A;
+"""
+
+
+def test_identity_composition_of_an_incompatible_leaf_is_incompatible(monkeypatch):
+    # with repeated and infeasible projections kept, the composed assumption
+    # negates 12 disjuncts, and deciding it distributes past the 4096 cap
+    monkeypatch.setattr("sys.stdin", io.StringIO(UNSAT_LEAF_SPEC))
+    [ob] = run_check(["-"], CheckOptions(deterministic=True))[1]["obligations"]
+    compatibility = {c["subject"]: c["verdict"]["status"] for c in ob["checks"] if c["kind"] == "compatibility"}
+    assert compatibility == {"C": "falsified", "A": "proved", "id(C as c)": "falsified"}
+    assert ob["projection"] == "exact"
+
+
 def test_oracle_skips_a_grid_too_large(tmp_path, capsys):
     spec = tmp_path / "cell.scspec"
     spec.write_text(CELL_SPEC + ";\n")

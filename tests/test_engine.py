@@ -34,6 +34,7 @@ from sccheck.model import (
     FiniteGrid,
     GridIncomplete,
     Not,
+    Or,
     eval_assertion,
     eval_term,
     free_vars,
@@ -118,6 +119,69 @@ def test_normalize_preserves_models(seed):
         if any(eval_assertion(p, env) for p in pieces):
             union.add(frozen)
     assert union == direct
+
+
+def _unpruned(a):
+    """How many disjuncts distribution makes from an NNF formula of
+    variable atoms when it drops none."""
+    match a:
+        case And(left=l, right=r):
+            return _unpruned(l) * _unpruned(r)
+        case Or(left=l, right=r):
+            return _unpruned(l) + _unpruned(r)
+    return 2 if a.op == "!=" else 1
+
+
+def _linked_formula(rng):
+    """A conjunction, in random order, of equalities that link x, y and z and
+    of clauses over atoms and pairs of atoms: the shape of a composition
+    body. Every atom keeps a variable, so no disjunct is ground."""
+    def atom():
+        return f"{rng.choice('xyz')} {rng.choice(['<=', '<', '>=', '>', '!='])} {rng.randint(-1, 1)}"
+
+    def item():
+        return atom() if rng.random() < 0.6 else f"({atom()} and {atom()})"
+
+    pairs = rng.sample(list(itertools.permutations("xyz", 2)), rng.randint(1, 2))
+    links = [f"{u} = {v} + {rng.randint(-1, 1)}" for u, v in pairs]
+    clauses = ["(" + " or ".join(item() for _ in range(rng.randint(2, 3))) + ")" for _ in range(rng.randint(2, 3))]
+    parts = links + clauses
+    rng.shuffle(parts)
+    return " and ".join(parts)
+
+
+def test_pruned_distribution_keeps_every_model():
+    g = grid(x=[-1, 0, Fraction(1, 2), 1, 2], y=[-1, 0, Fraction(1, 2), 1, 2], z=[-1, 0, 1])
+    pruned = 0
+    for seed in range(40):
+        formula = expr(_linked_formula(random.Random(seed)))
+        disjuncts = [system_to_assertion(d) for d in normalize(formula).disjuncts]
+        pruned += len(disjuncts) < _unpruned(formula)
+        for env in g.valuations():
+            assert any(eval_assertion(d, env) for d in disjuncts) == eval_assertion(formula, env), (seed, env)
+    assert pruned >= 20
+
+
+def test_distribution_drops_exactly_the_refuted_combinations_in_order():
+    text = "a = b and (a < 0 or a > 1 or r <= 2) and (b < 0 or b > 1 or s <= 2)"
+    kept = [
+        normalize(expr(f"a = b and {left} and {right}")).disjuncts[0]
+        for left in ("a < 0", "a > 1", "r <= 2")
+        for right in ("b < 0", "b > 1", "s <= 2")
+        if (left, right) not in (("a < 0", "b > 1"), ("a > 1", "b < 0"))
+    ]
+    assert normalize(expr(text)).disjuncts == tuple(kept)
+
+
+def test_a_product_over_the_cap_fits_once_pruned():
+    # 9 disjuncts unpruned; pruned, no product reaches 4
+    text = "x = 0 and (x < 0 or x > 0 or y = 0) and (x < 0 or x > 0 or z = 0)"
+    assert normalize(expr(text), cap=4) == normalize(expr("x = 0 and y = 0 and z = 0"))
+
+
+def test_a_system_keeps_the_tightest_bound_per_coefficient_vector():
+    [d] = normalize(expr("x <= 3 and 2 * y < 1 and x < 1 and x <= 1 and 2 * y <= 1")).disjuncts
+    assert d.constraints == (c({"x": 1}, 1, strict=True), c({"y": 2}, 1, strict=True))
 
 
 # ---------------------------------------------------------------------------
