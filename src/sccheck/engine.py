@@ -4,12 +4,12 @@ The decision ladder, in order:
 
 1. linear formulas are decided exactly by Fourier-Motzkin elimination on
    the DNF, with witnesses rebuilt by back-substitution through the
-   elimination stack. Distribution drops each partial conjunction that
-   interval contraction refutes, and every linear system keeps only the
-   tightest bound per coefficient vector;
+   elimination stack. Distribution carries a box for each partial
+   conjunction and drops the ones interval contraction refutes, and every
+   linear system keeps only the tightest bound per coefficient vector;
 2. otherwise exact-rational interval contraction tries to prove each
-   nonlinear disjunct empty from the bounds its own atoms imply, with
-   every variable starting unbounded;
+   nonlinear disjunct empty from the bounds its own atoms imply, starting
+   from the box distribution carried for it;
 3. otherwise deterministic seeded sampling tries to find a satisfying
    valuation, evaluated exactly; the optional box only steers where it
    draws (default +-10^6 per variable) and never proves or refutes;
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -195,68 +195,58 @@ def interval_eval(term: Term, box: Box) -> Interval:
     raise TypeError(f"not a term: {term!r}")
 
 
-def _atom_feasible(op: str, lv: Interval, rv: Interval) -> bool:
-    """Can `left op right` hold anywhere in the box? Sound over-approximation."""
-    if op == "<=":
-        return lv.lo is None or rv.hi is None or lv.lo <= rv.hi
-    if op == "<":
-        return lv.lo is None or rv.hi is None or lv.lo < rv.hi
-    if op == ">=":
-        return _atom_feasible("<=", rv, lv)
-    if op == ">":
-        return _atom_feasible("<", rv, lv)
-    if op == "=":
-        return _atom_feasible("<=", lv, rv) and _atom_feasible("<=", rv, lv)
-    raise ValueError(f"unknown comparison: {op}")
-
-
 def _intersect(a: Interval, b: Interval) -> Interval:
     lo = b.lo if a.lo is None else (a.lo if b.lo is None else max(a.lo, b.lo))
     hi = b.hi if a.hi is None else (a.hi if b.hi is None else min(a.hi, b.hi))
     return Interval(lo, hi)
 
 
-def _contract_once(atoms: Sequence[Cmp], box: dict[str, Interval]) -> tuple[bool, bool]:
-    """One round of narrowing. Returns (changed, empty)."""
-    changed = False
-    for atom in atoms:
-        pairs = []
-        if isinstance(atom.left, Var):
-            pairs.append((atom.left.name, atom.right, atom.op))
-        if isinstance(atom.right, Var):
-            flipped = {"<=": ">=", "<": ">", ">=": "<=", ">": "<", "=": "="}[atom.op]
-            pairs.append((atom.right.name, atom.left, flipped))
-        for name, other, op in pairs:
-            iv = interval_eval(other, box)
-            cur = box.get(name, FULL_INTERVAL)
-            if op == "=":
-                new = _intersect(cur, iv)
-            elif op in ("<=", "<"):
-                new = _intersect(cur, Interval(None, iv.hi))
-            else:  # ">=" or ">"
-                new = _intersect(cur, Interval(iv.lo, None))
-            if new != cur:
-                box[name] = new
-                changed = True
-            if new.is_empty():
-                return changed, True
-    return changed, False
+def _meet(a: Box, b: Box) -> Optional[dict[str, Interval]]:
+    """The intersection of two boxes, or None when it is empty."""
+    out = dict(a)
+    for name, iv in b.items():
+        new = _intersect(out.get(name, FULL_INTERVAL), iv)
+        if new.is_empty():
+            return None
+        out[name] = new
+    return out
 
 
-def _interval_refute(atoms: Sequence[Cmp], rounds: int = 8) -> bool:
-    """Try to prove a conjunction of atoms empty from the bounds its own
-    atoms imply; every variable starts unbounded."""
-    box: dict[str, Interval] = {}
-    for _ in range(rounds):
-        changed, empty = _contract_once(atoms, box)
-        if empty:
-            return True
+_SWAPPED_CMP = {">=": "<=", ">": "<"}
+
+
+def _revise(atoms: Sequence[Cmp], box: dict[str, Interval], rounds: int = 8) -> bool:
+    """Narrow `box` in place to the bounds a conjunction of atoms implies
+    within it; False when the atoms cannot all hold in the box.
+
+    Each round evaluates both sides of every atom once, refutes at the
+    first atom that cannot hold, and narrows each bare-variable side by
+    the other side's enclosure. Rounds stop at the first that narrows
+    nothing; when all `rounds` narrow, one more pass checks every atom
+    against the box the last one left, and narrows nothing.
+    """
+    for done in range(rounds + 1):
+        changed = False
+        for atom in atoms:
+            left, op, right = atom.left, atom.op, atom.right
+            if op in _SWAPPED_CMP:
+                left, op, right = right, _SWAPPED_CMP[op], left
+            lv, rv = interval_eval(left, box), interval_eval(right, box)
+            # op is now <=, < or =: the left side stays under the right
+            # side's upper end, and the right side over the left side's lower end
+            new_left = _intersect(lv, rv if op == "=" else Interval(None, rv.hi))
+            new_right = _intersect(rv, lv if op == "=" else Interval(lv.lo, None))
+            if new_left.is_empty() or (op == "<" and lv.lo is not None and lv.lo == rv.hi):
+                return False
+            if done == rounds:
+                continue
+            for side, cur, new in ((left, lv, new_left), (right, rv, new_right)):
+                if isinstance(side, Var) and new != cur:
+                    box[side.name] = new
+                    changed = True
         if not changed:
             break
-    for atom in atoms:
-        if not _atom_feasible(atom.op, interval_eval(atom.left, box), interval_eval(atom.right, box)):
-            return True
-    return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +370,11 @@ class LinearSystem:
 @dataclass(frozen=True)
 class NonlinearDisjunct:
     """A conjunction that contains at least one nonlinear atom; kept in its
-    original atom form for the interval/sampling paths."""
+    original atom form for the interval/sampling paths, with the box
+    distribution narrowed it to (no part of its identity)."""
 
     atoms: tuple[Cmp, ...]
+    box: Box = field(default_factory=dict, compare=False, repr=False)
 
 
 Disjunct = Union[LinearSystem, NonlinearDisjunct]
@@ -477,35 +469,38 @@ def _linearize_atom(atom: Cmp) -> Optional[list[Constraint] | bool]:
     return [_mk_constraint(diff, bound, False), _mk_constraint(neg, -bound, False)]
 
 
-def _dnf_atom_lists(a: Assertion, cap: int) -> list[list[Cmp]]:
-    """Distribute an NNF, quantifier-free formula into lists of atoms.
+def _dnf_atom_lists(a: Assertion, cap: int) -> list[tuple[list[Cmp], dict[str, Interval]]]:
+    """Distribute an NNF, quantifier-free formula into conjunctions of
+    atoms, each with a box that holds all of its models.
 
-    A conjunction distributes left to right, in lexicographic order. After
-    each conjunct that branches, the partial conjunctions that interval
-    contraction refutes are dropped: they are empty, and so is every
-    extension of them. The cap bounds each product about to be built.
+    A conjunction distributes left to right, in lexicographic order. Each
+    product starts from the meet of its parts' boxes, and an empty meet
+    drops it. After each conjunct that branches, every product is revised
+    from that meet, and the ones refuted are dropped: they are empty, and
+    so is every extension of them. The cap bounds each product about to be
+    built.
     """
     match a:
         case BoolLit(value=v):
-            return [[]] if v else []
+            return [([], {})] if v else []
         case Cmp(op=op):
             if op == "!=":
-                return [[Cmp("<", a.left, a.right)], [Cmp(">", a.left, a.right)]]
-            return [[a]]
+                return [([Cmp("<", a.left, a.right)], {}), ([Cmp(">", a.left, a.right)], {})]
+            return [([a], {})]
         case Or(left=l, right=r):
             out = _dnf_atom_lists(l, cap) + _dnf_atom_lists(r, cap)
             if len(out) > cap:
                 raise DnfCapExceeded(cap)
             return out
         case And():
-            out = [[]]
+            out = [([], {})]
             for part in conjuncts(a):
                 lists = _dnf_atom_lists(part, cap)
                 if len(out) * len(lists) > cap:
                     raise DnfCapExceeded(cap)
-                out = [ll + rl for ll in out for rl in lists]
-                if len(lists) > 1:
-                    out = [atoms for atoms in out if not _interval_refute(atoms)]
+                products = ((la + ra, _meet(lbox, rbox)) for la, lbox in out for ra, rbox in lists)
+                out = [(atoms, box) for atoms, box in products
+                       if box is not None and (len(lists) == 1 or _revise(atoms, box))]
             return out
     raise TypeError(f"unexpected node in NNF matrix: {a!r}")
 
@@ -521,7 +516,7 @@ def _tightest(constraints: Sequence[Constraint]) -> tuple[Constraint, ...]:
     return tuple(best.values())
 
 
-def _build_disjunct(atoms: Sequence[Cmp]) -> Optional[Disjunct]:
+def _build_disjunct(atoms: Sequence[Cmp], box: Box) -> Optional[Disjunct]:
     """Classify a conjunction of atoms; None means it is ground-false."""
     constraints: list[Constraint] = []
     nonlinear = False
@@ -536,25 +531,25 @@ def _build_disjunct(atoms: Sequence[Cmp]) -> Optional[Disjunct]:
         else:
             constraints.extend(lin)
     if nonlinear:
-        return NonlinearDisjunct(tuple(atoms))
+        return NonlinearDisjunct(tuple(atoms), box)
     return LinearSystem(_tightest(constraints))
 
 
 def normalize(a: Assertion, cap: int = DEFAULT_DNF_CAP) -> Dnf:
     """Negation normal form, then DNF with a disjunct cap.
 
-    Conjunctions distribute left to right, and a partial conjunction that
-    interval contraction refutes is dropped before it is extended, so the
-    cap counts only the conjunctions kept. `!=` splits into two strict
-    disjuncts and linear equations become <= pairs; a linear disjunct keeps
-    the tightest bound per coefficient vector, and a disjunct containing a
-    nonlinear atom is kept as a NonlinearDisjunct carrying its original
-    atoms.
+    Conjunctions distribute left to right, each with a box narrowed from
+    its parts' boxes, and a partial conjunction that interval contraction
+    refutes is dropped before it is extended, so the cap counts only the
+    conjunctions kept. `!=` splits into two strict disjuncts and linear
+    equations become <= pairs; a linear disjunct keeps the tightest bound
+    per coefficient vector, and a disjunct containing a nonlinear atom is
+    kept as a NonlinearDisjunct carrying its original atoms and its box.
     """
     matrix = nnf(simplify_bools(a))
     disjuncts = []
-    for atoms in _dnf_atom_lists(matrix, cap):
-        d = _build_disjunct(atoms)
+    for atoms, box in _dnf_atom_lists(matrix, cap):
+        d = _build_disjunct(atoms, box)
         if d is not None:
             disjuncts.append(d)
     return Dnf(tuple(disjuncts))
@@ -746,45 +741,36 @@ def _draw(rng: random.Random, iv: Interval, wide: bool) -> Fraction:
     return Fraction(rng.randint(nlo, nhi), d)
 
 
-def _conjunction_atoms(a: Assertion) -> Optional[list[Cmp]]:
-    atoms: list[Cmp] = []
-
-    def walk(node: Assertion) -> bool:
-        match node:
-            case And(left=l, right=r):
-                return walk(l) and walk(r)
-            case Cmp():
-                atoms.append(node)
-                return True
-        return False
-
-    return atoms if walk(a) else None
+def _equalities(atoms: Sequence[Cmp]) -> list[tuple[str, Term, frozenset[str]]]:
+    """Each equality atom's bare-variable side, in atom order, with the
+    other side and that side's free variables."""
+    return [
+        (var_side.name, term_side, free_vars(term_side))
+        for atom in atoms
+        if atom.op == "="
+        for var_side, term_side in ((atom.left, atom.right), (atom.right, atom.left))
+        if isinstance(var_side, Var)
+    ]
 
 
 def _propagate_equalities(
-    atoms: Sequence[Cmp], assignment: dict[str, Fraction]
+    equalities: Sequence[tuple[str, Term, frozenset[str]]], assignment: dict[str, Fraction]
 ) -> bool:
-    """Assign variables forced by equality atoms with a bare-variable side.
-    Returns False when a forced value is contradictory or undefined."""
+    """Assign variables forced by equalities (from `_equalities`) whose
+    other side is already valued. Returns False when a forced value is
+    undefined."""
     changed = True
     while changed:
         changed = False
-        for atom in atoms:
-            if atom.op != "=":
+        for name, term, needs in equalities:
+            if name in assignment or not needs <= assignment.keys():
                 continue
-            for var_side, term_side in ((atom.left, atom.right), (atom.right, atom.left)):
-                if not isinstance(var_side, Var):
-                    continue
-                if var_side.name in assignment:
-                    continue
-                if not free_vars(term_side) <= assignment.keys():
-                    continue
-                try:
-                    value = eval_term(term_side, assignment)
-                except UndefinedTerm:
-                    return False
-                assignment[var_side.name] = value
-                changed = True
+            try:
+                value = eval_term(term, assignment)
+            except UndefinedTerm:
+                return False
+            assignment[name] = value
+            changed = True
     return True
 
 
@@ -813,10 +799,11 @@ def sample_falsify(
     box = box or {}
     rng = random.Random(seed)
     variables = sorted(free_vars(matrix))
-    atoms = _conjunction_atoms(matrix) or []
+    parts = conjuncts(matrix)
+    equalities = _equalities(parts) if all(isinstance(p, Cmp) for p in parts) else []
 
     base: dict[str, Fraction] = {}
-    if atoms and not _propagate_equalities(atoms, base):
+    if equalities and not _propagate_equalities(equalities, base):
         base = {}
     to_sample = [v for v in variables if v not in base]
     attempts = budget if to_sample else 1
@@ -827,7 +814,7 @@ def sample_falsify(
             if var in assignment:
                 continue
             assignment[var] = _draw(rng, box.get(var, FULL_INTERVAL), wide=(attempt % 5 == 4))
-            if atoms and not _propagate_equalities(atoms, assignment):
+            if equalities and not _propagate_equalities(equalities, assignment):
                 ok = False
                 break
         if not ok:
@@ -895,19 +882,22 @@ def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOption
         pool, reason = [matrix], str(exc)
     else:
         pool, reason = [], "not falsified within budget"
+        tried: set[LinearSystem] = set()
         # linear disjuncts first, so a satisfiable one ends the query before
-        # any interval work
+        # any interval work; a repeated system can only be unsatisfiable
         for d in sorted(dnf.disjuncts, key=lambda d: isinstance(d, NonlinearDisjunct)):
             if isinstance(d, NonlinearDisjunct):
-                if not _interval_refute(d.atoms):
+                if _revise(d.atoms, dict(d.box)):
                     pool.append(conj(list(d.atoms)))
-            elif (w := fm_witness(d)) is not None:
-                full = complete(w)
-                if full is not None:
-                    return SatResult("sat", witness=full)
-                # a guard only: under strong-Kleene evaluation a model of a
-                # disjunct is a model of the matrix
-                pool.append(system_to_assertion(d))
+            elif d not in tried:
+                tried.add(d)
+                if (w := fm_witness(d)) is not None:
+                    full = complete(w)
+                    if full is not None:
+                        return SatResult("sat", witness=full)
+                    # a guard only: under strong-Kleene evaluation a model
+                    # of a disjunct is a model of the matrix
+                    pool.append(system_to_assertion(d))
         if not pool:
             return SatResult("unsat")
 

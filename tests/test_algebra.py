@@ -18,6 +18,7 @@ from sccheck.algebra import (
     interpret_composed_finite,
     verify_min_characterization,
 )
+from sccheck import algebra, engine
 from sccheck.engine import Status, check_implication
 from sccheck.formatter import format_expr
 from sccheck.loader import elaborate
@@ -374,3 +375,24 @@ def test_six_cells_in_series_stay_exact_and_proved():
     assert composed.projection == "exact"
     assert check_refinement(composed, ob.abstract).status is Status.PROVED
     assert check_compatibility(composed).status is Status.PROVED
+
+
+def test_distribution_carries_each_conjunctions_box(monkeypatch):
+    """Normalizing the three-cell banded assumption body evaluates 3,640
+    terms with `interval_eval`, recursive calls included. Contracting each
+    partial conjunction again from an unbounded box took 6,459."""
+    bodies = []
+    monkeypatch.setattr(algebra, "normalize", lambda body, cap: bodies.append(body) or engine.normalize(body, cap))
+    _banded_obligation(3)
+    monkeypatch.undo()
+    calls = 0
+    original = engine.interval_eval
+
+    def counting(term, box):
+        nonlocal calls
+        calls += 1
+        return original(term, box)
+
+    monkeypatch.setattr(engine, "interval_eval", counting)
+    assert len(engine.normalize(bodies[-1]).disjuncts) == 48
+    assert calls <= 3640

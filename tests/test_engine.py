@@ -12,10 +12,14 @@ from sccheck.engine import (
     Constraint,
     DnfCapExceeded,
     EngineOptions,
+    FULL_INTERVAL,
     Interval,
     LinearSystem,
     NonlinearDisjunct,
     Status,
+    _dnf_atom_lists,
+    _meet,
+    _revise,
     check_implication,
     decide_satisfiability,
     enumerate_models,
@@ -23,6 +27,7 @@ from sccheck.engine import (
     fm_project,
     fm_witness,
     interval_eval,
+    nnf,
     normalize,
     sample_falsify,
     system_to_assertion,
@@ -30,11 +35,15 @@ from sccheck.engine import (
 from sccheck.model import (
     And,
     BoolLit,
+    Cmp,
+    Const,
     Exists,
     FiniteGrid,
     GridIncomplete,
     Not,
     Or,
+    UndefinedTerm,
+    conjuncts,
     eval_assertion,
     eval_term,
     free_vars,
@@ -399,6 +408,73 @@ def test_interval_containment_on_random_terms():
         assert iv.contains(value)
         passed += 1
     assert passed > 600
+
+
+def _atom_through(rng, point):
+    """A random atom over x, y and z, linear or with * and /, that holds at
+    `point`: a term compared with a variable, a term or its own value."""
+    def term(depth):
+        if depth == 0 or rng.random() < 0.4:
+            return rng.choice(["x", "y", "z", str(rng.randint(-3, 3))])
+        return f"({term(depth - 1)} {rng.choice('+-*/')} {term(depth - 1)})"
+
+    while True:
+        left = expr(rng.choice("xyz") if rng.random() < 0.5 else term(2))
+        try:
+            lv = eval_term(left, point)
+            right = rng.choice([expr(term(2)), Const(lv + rng.choice([-1, 0, 0, 1]))])
+            rv = eval_term(right, point)
+        except UndefinedTerm:
+            continue
+        ops = [op for op, holds in (("<=", lv <= rv), ("<", lv < rv), ("=", lv == rv), (">=", lv >= rv), (">", lv > rv)) if holds]
+        return Cmp(rng.choice(ops), left, right)
+
+
+def test_revise_never_refutes_a_conjunction_through_a_point():
+    rng = random.Random(16)
+    narrowed = 0
+    for _ in range(400):
+        point = {v: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for v in "xyz"}
+        atoms = [_atom_through(rng, point) for _ in range(rng.randint(1, 5))]
+        starts = [{}]
+        for _ in range(3):
+            start = {}
+            for v in rng.sample("xyz", rng.randint(1, 3)):
+                lo = None if rng.random() < 0.2 else point[v] - rng.randint(0, 3)
+                hi = None if rng.random() < 0.2 else point[v] + rng.randint(0, 3)
+                start[v] = Interval(lo, hi)
+            starts.append(start)
+        for start in starts:
+            b = dict(start)
+            assert _revise(atoms, b), (atoms, start)
+            assert all(b[v].contains(point[v]) for v in b), (atoms, start, b)
+            narrowed += b != start
+    assert narrowed > 400
+
+
+def test_revise_refutes_an_empty_conjunction():
+    assert not _revise([expr("x < 1"), expr("x >= 1")], {})
+    assert decide_satisfiability(expr("x < 1 and x >= 1 and x * y = 2")).status == "unsat"
+    # x and y reach [8, 8] only in the eighth round, which leaves y >= x + 1
+    # to the pass that checks the last round's box
+    late = "x >= 0 and x <= 8 and y >= x + 1 and x >= y"
+    assert not _revise(conjuncts(expr(late)), {})
+    assert decide_satisfiability(expr(f"{late} and z * z >= 0")).status == "unsat"
+
+
+def test_an_empty_meet_drops_a_product_unrevised():
+    one, two = Fraction(1), Fraction(2)
+    assert _meet({"x": Interval(two, None)}, {"x": Interval(None, one)}) is None
+    meet = _meet({"x": Interval(one, two), "y": FULL_INTERVAL}, {"x": Interval(None, one)})
+    assert meet == {"x": Interval(one, one), "y": FULL_INTERVAL}
+    # the second conjunct does not branch, so no product is revised: the two
+    # that pair x >= 2 with x <= 1 are dropped by their boxes alone
+    first = "(x >= 2 and (y < 0 or y > 1) or w = 0)"
+    second = "(x <= 1 and (z < 0 or x > 5) or false)"
+    lists = _dnf_atom_lists(nnf(expr(f"{first} and {second}")), 4096)
+    assert [atoms for atoms, _ in lists] == [[expr("w = 0"), expr("x <= 1"), expr("z < 0")]]
+    zero = Fraction(0)
+    assert lists[0][1] == {"w": Interval(zero, zero), "x": Interval(None, one), "z": Interval(None, zero)}
 
 
 # ---------------------------------------------------------------------------

@@ -36,36 +36,46 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def main() -> int:
+def ops():
+    """Yield each op as (name, text, path, options), in the order above:
+    a document is given as text (fed on stdin) or by path."""
     sys.dont_write_bytecode = True  # leave the checkout as it was
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
     os.chdir(ROOT)  # the corpus op names its file relative to the root
-    from sccheck.cli import CheckOptions, run_check
+    from sccheck.cli import CheckOptions
     from test_composition_soundness import OPTIONS, SEEDS, random_composition
     from workloads import WORKLOADS
-
-    lines = []
-
-    def digest(name: str, text: str | None, path: str | None, options: CheckOptions) -> None:
-        sys.stdin = io.StringIO(text or "")
-        try:
-            code, report = run_check([path or "-"], options)
-        except Exception as exc:
-            value = type(exc).__name__
-        else:
-            value = hashlib.sha256(json.dumps([code, report]).encode()).hexdigest()
-        lines.append(f"{name} {value}")
-        print(lines[-1], flush=True)
 
     for workload, w in WORKLOADS.items():
         seen = set()
         for index, op in enumerate(itertools.islice(w.ops(0, "full"), w.trace_ops)):
             if op.name not in seen:
                 seen.add(op.name)
-                digest(f"{workload}/{index}/{op.name}", op.text, op.path, CheckOptions(oracle=op.oracle, deterministic=True))
+                yield f"{workload}/{index}/{op.name}", op.text, op.path, CheckOptions(oracle=op.oracle, deterministic=True)
     options = CheckOptions(engine=OPTIONS, oracle=True, deterministic=True)
     for seed in SEEDS:
-        digest(f"soundness/{seed}", random_composition(seed), None, options)
+        yield f"soundness/{seed}", random_composition(seed), None, options
+
+
+def run(text: str | None, path: str | None, options) -> tuple[int, dict]:
+    """``run_check`` on one op's document."""
+    from sccheck.cli import run_check
+
+    sys.stdin = io.StringIO(text or "")
+    return run_check([path or "-"], options)
+
+
+def main() -> int:
+    lines = []
+    for name, text, path, options in ops():
+        try:
+            code, report = run(text, path, options)
+        except Exception as exc:
+            value = type(exc).__name__
+        else:
+            value = hashlib.sha256(json.dumps([code, report]).encode()).hexdigest()
+        lines.append(f"{name} {value}")
+        print(lines[-1], flush=True)
     print("total", hashlib.sha256("\n".join(lines).encode()).hexdigest())
     return 0
 
