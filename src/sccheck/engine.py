@@ -46,6 +46,7 @@ from .model import (
     UndefinedTerm,
     Valuation,
     Var,
+    compare,
     conj,
     conjuncts,
     disj,
@@ -109,7 +110,7 @@ class SatResult:
 
 
 # ---------------------------------------------------------------------------
-# intervals (exact rational endpoints, None = unbounded)
+# intervals (every end an exact Fraction, or None = unbounded)
 
 @dataclass(frozen=True)
 class Interval:
@@ -142,18 +143,21 @@ def _iv_neg(a: Interval) -> Interval:
     return Interval(None if a.hi is None else -a.hi, None if a.lo is None else -a.lo)
 
 
-_INF = float("inf")
-
-
 def _iv_mul(a: Interval, b: Interval) -> Interval:
-    """Product, with 0 * inf = 0. An unbounded end is a float infinity
-    that is compared but never multiplied, so finite ends stay exact."""
-    ends = [(-_INF if a.lo is None else a.lo, _INF if a.hi is None else a.hi),
-            (-_INF if b.lo is None else b.lo, _INF if b.hi is None else b.hi)]
-    prods = [Fraction(0) if x == 0 or y == 0 else x * y if _INF not in (abs(x), abs(y))
-             else _INF if (x > 0) == (y > 0) else -_INF for x in ends[0] for y in ends[1]]
-    lo, hi = min(prods), max(prods)
-    return Interval(None if lo == -_INF else lo, None if hi == _INF else hi)
+    """Product. Each of the four end products is ranked as finite, with
+    0 * unbounded = 0, or unbounded with the sign of its factors (an
+    unbounded end has the sign of its side); finite ends stay exact."""
+    finite: list[Fraction] = []
+    unbounded: set[bool] = set()  # True: unbounded above
+    for x, x_up in ((a.lo, False), (a.hi, True)):
+        for y, y_up in ((b.lo, False), (b.hi, True)):
+            if x is not None and y is not None:
+                finite.append(x * y)
+            elif x == 0 or y == 0:
+                finite.append(Fraction(0))
+            else:
+                unbounded.add((x_up if x is None else x > 0) == (y_up if y is None else y > 0))
+    return Interval(None if False in unbounded else min(finite), None if True in unbounded else max(finite))
 
 
 def _iv_inv(a: Interval) -> Interval:
@@ -213,19 +217,21 @@ def _meet(a: Box, b: Box) -> Optional[dict[str, Interval]]:
 
 
 _SWAPPED_CMP = {">=": "<=", ">": "<"}
+_REVISE_ROUNDS = 8
 
 
-def _revise(atoms: Sequence[Cmp], box: dict[str, Interval], rounds: int = 8) -> bool:
+def _revise(atoms: Sequence[Cmp], box: dict[str, Interval]) -> bool:
     """Narrow `box` in place to the bounds a conjunction of atoms implies
     within it; False when the atoms cannot all hold in the box.
 
     Each round evaluates both sides of every atom once, refutes at the
-    first atom that cannot hold, and narrows each bare-variable side by
-    the other side's enclosure. Rounds stop at the first that narrows
-    nothing; when all `rounds` narrow, one more pass checks every atom
-    against the box the last one left, and narrows nothing.
+    first atom whose enclosures' ends rule it out, and intersects each
+    bare-variable side with the other side's enclosure. Rounds stop at the
+    first that narrows nothing; when all `_REVISE_ROUNDS` narrow, one more
+    pass checks every atom against the box the last one left, and narrows
+    nothing.
     """
-    for done in range(rounds + 1):
+    for done in range(_REVISE_ROUNDS + 1):
         changed = False
         for atom in atoms:
             left, op, right = atom.left, atom.op, atom.right
@@ -234,14 +240,16 @@ def _revise(atoms: Sequence[Cmp], box: dict[str, Interval], rounds: int = 8) -> 
             lv, rv = interval_eval(left, box), interval_eval(right, box)
             # op is now <=, < or =: the left side stays under the right
             # side's upper end, and the right side over the left side's lower end
-            new_left = _intersect(lv, rv if op == "=" else Interval(None, rv.hi))
-            new_right = _intersect(rv, lv if op == "=" else Interval(lv.lo, None))
-            if new_left.is_empty() or (op == "<" and lv.lo is not None and lv.lo == rv.hi):
+            lo, hi = lv.lo, rv.hi
+            if lo is not None and hi is not None and (lo >= hi if op == "<" else lo > hi):
                 return False
-            if done == rounds:
+            if op == "=" and rv.lo is not None and lv.hi is not None and rv.lo > lv.hi:
+                return False
+            if done == _REVISE_ROUNDS:
                 continue
-            for side, cur, new in ((left, lv, new_left), (right, rv, new_right)):
-                if isinstance(side, Var) and new != cur:
+            for side, cur, other_lo, other_hi in ((left, lv, rv.lo if op == "=" else None, rv.hi),
+                                                  (right, rv, lv.lo, lv.hi if op == "=" else None)):
+                if isinstance(side, Var) and (new := _intersect(cur, Interval(other_lo, other_hi))) != cur:
                     box[side.name] = new
                     changed = True
         if not changed:
@@ -437,36 +445,19 @@ def _linearize_atom(atom: Cmp) -> Optional[list[Constraint] | bool]:
     Returns a constraint list, True/False for ground atoms, or None when
     the atom is nonlinear. `!=` never reaches here (split during DNF).
     """
-    ll = linearize_term(atom.left)
-    rr = linearize_term(atom.right)
-    if ll is None or rr is None:
+    lin = linearize_term(BinOp("-", atom.left, atom.right))
+    if lin is None:
         return None
-    (lc, lk), (rc, rk) = ll, rr
-    diff = dict(lc)
-    for k, v in rc.items():
-        diff[k] = diff.get(k, Fraction(0)) - v
-    diff = {k: v for k, v in diff.items() if v != 0}
-    bound = rk - lk  # diff <=/< bound
-    op = atom.op
-    if op in (">=", ">"):
-        diff = {k: -v for k, v in diff.items()}
-        bound = -bound
-        op = "<=" if op == ">=" else "<"
-    if not diff:
-        if op == "<=":
-            result = 0 <= bound
-        elif op == "<":
-            result = 0 < bound
-        else:  # "="
-            result = bound == 0
-        return result
-    if op == "<=":
-        return [_mk_constraint(diff, bound, False)]
-    if op == "<":
-        return [_mk_constraint(diff, bound, True)]
+    coeffs, const = lin  # left - right = coeffs . vars + const
+    if not any(coeffs.values()):
+        return compare(atom.op, const, Fraction(0))
+    if atom.op in (">=", ">"):
+        coeffs, const = {k: -v for k, v in coeffs.items()}, -const
+    constraint = _mk_constraint(coeffs, -const, atom.op in ("<", ">"))
+    if atom.op != "=":
+        return [constraint]
     # equality: the <= pair
-    neg = {k: -v for k, v in diff.items()}
-    return [_mk_constraint(diff, bound, False), _mk_constraint(neg, -bound, False)]
+    return [constraint, _mk_constraint({k: -v for k, v in coeffs.items()}, const, False)]
 
 
 def _dnf_atom_lists(a: Assertion, cap: int) -> list[tuple[list[Cmp], dict[str, Interval]]]:
@@ -516,12 +507,15 @@ def _tightest(constraints: Sequence[Constraint]) -> tuple[Constraint, ...]:
     return tuple(best.values())
 
 
-def _build_disjunct(atoms: Sequence[Cmp], box: Box) -> Optional[Disjunct]:
-    """Classify a conjunction of atoms; None means it is ground-false."""
+def _build_disjunct(
+    atoms: Sequence[Cmp], box: Box, linear: Mapping[int, Optional[list[Constraint] | bool]]
+) -> Optional[Disjunct]:
+    """Classify a conjunction of atoms, each linearized in `linear` by its
+    id; None means it is ground-false."""
     constraints: list[Constraint] = []
     nonlinear = False
     for atom in atoms:
-        lin = _linearize_atom(atom)
+        lin = linear[id(atom)]
         if lin is None:
             nonlinear = True
         elif lin is True:
@@ -545,11 +539,15 @@ def normalize(a: Assertion, cap: int = DEFAULT_DNF_CAP) -> Dnf:
     equations become <= pairs; a linear disjunct keeps the tightest bound
     per coefficient vector, and a disjunct containing a nonlinear atom is
     kept as a NonlinearDisjunct carrying its original atoms and its box.
+    Each distinct atom object is linearized once, however many disjuncts
+    hold it.
     """
-    matrix = nnf(simplify_bools(a))
+    products = _dnf_atom_lists(nnf(simplify_bools(a)), cap)
+    distinct = {id(atom): atom for atoms, _ in products for atom in atoms}
+    linear = {key: _linearize_atom(atom) for key, atom in distinct.items()}
     disjuncts = []
-    for atoms, box in _dnf_atom_lists(matrix, cap):
-        d = _build_disjunct(atoms, box)
+    for atoms, box in products:
+        d = _build_disjunct(atoms, box, linear)
         if d is not None:
             disjuncts.append(d)
     return Dnf(tuple(disjuncts))

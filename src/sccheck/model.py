@@ -292,7 +292,8 @@ def eval_term(term: Term, env: Mapping[str, Fraction]) -> Fraction:
     raise TypeError(f"not a term: {term!r}")
 
 
-def _compare(op: str, a: Fraction, b: Fraction) -> bool:
+def compare(op: str, a: Fraction, b: Fraction) -> bool:
+    """Whether `a op b` holds, for each of the six comparisons."""
     if op == "<=":
         return a <= b
     if op == "<":
@@ -361,7 +362,7 @@ def _eval3(a: Assertion, env: Mapping[str, Fraction], joins: _Joins | None) -> b
             return v
         case Cmp(op=op, left=l, right=r):
             try:
-                return _compare(op, eval_term(l, env), eval_term(r, env))
+                return compare(op, eval_term(l, env), eval_term(r, env))
             except UndefinedTerm:
                 return None
         case Not(operand=x):

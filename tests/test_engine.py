@@ -18,6 +18,8 @@ from sccheck.engine import (
     NonlinearDisjunct,
     Status,
     _dnf_atom_lists,
+    _iv_mul,
+    _linearize_atom,
     _meet,
     _revise,
     check_implication,
@@ -328,11 +330,65 @@ def test_implication_never_proved_when_sampler_finds_witness():
             assert eval_assertion(And(phi, Not(psi)), verdict.witness)
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("2 * x + 1 <= y - 3", [c({"x": 2, "y": -1}, -4)]),
+    ("x < 2 * y", [c({"x": 1, "y": -2}, 0, strict=True)]),
+    ("x / 2 = 1 - y", [c({"x": Fraction(1, 2), "y": 1}, 1), c({"x": Fraction(-1, 2), "y": -1}, -1)]),
+    ("x >= -3", [c({"x": -1}, 3)]),
+    ("1 - x > y", [c({"x": 1, "y": 1}, 1, strict=True)]),
+    ("1 + 1 = 2", True),
+    ("2 * 3 < 6", False),
+    ("x - x < 1", True),
+    ("x * y <= 1", None),
+    ("x / 0 <= 1", None),
+])
+def test_linearize_atom(text, expected):
+    """A comparison becomes <=/< constraints over left - right, a ground
+    atom its truth value, and a nonlinear atom or a zero divisor None."""
+    assert _linearize_atom(expr(text)) == expected
+
+
 # ---------------------------------------------------------------------------
 # intervals
 
 def box(**kw):
     return {k: Interval(Fraction(a), Fraction(b)) for k, (a, b) in kw.items()}
+
+
+_INF = float("inf")
+
+
+def _float_sentinel_mul(a, b):
+    """The interval product with unbounded ends as float infinities that
+    are compared but never multiplied: the reference for `_iv_mul`."""
+    ends = [(-_INF if a.lo is None else a.lo, _INF if a.hi is None else a.hi),
+            (-_INF if b.lo is None else b.lo, _INF if b.hi is None else b.hi)]
+    prods = [Fraction(0) if x == 0 or y == 0 else x * y if _INF not in (abs(x), abs(y))
+             else _INF if (x > 0) == (y > 0) else -_INF for x in ends[0] for y in ends[1]]
+    lo, hi = min(prods), max(prods)
+    return Interval(None if lo == -_INF else lo, None if hi == _INF else hi)
+
+
+def test_iv_mul_matches_the_float_sentinel_product():
+    ends = [None] + [Fraction(v) for v in (-3, -1, Fraction(-1, 2), 0, Fraction(1, 2), 1, 3)]
+    rng = random.Random(17)
+
+    def interval():
+        lo, hi = rng.choice(ends), rng.choice(ends)
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        return Interval(lo, hi)
+
+    zero = Interval(Fraction(0), Fraction(0))
+    pairs = [(interval(), interval()) for _ in range(2000)]
+    for a, b in pairs + [(zero, FULL_INTERVAL), (Interval(None, Fraction(0)), zero)]:
+        product = _iv_mul(a, b)
+        assert product == _float_sentinel_mul(a, b), (a, b)
+        assert all(end is None or type(end) is Fraction for end in (product.lo, product.hi)), (a, b)
+    # 0 * unbounded = 0
+    assert _iv_mul(zero, FULL_INTERVAL) == zero
+    assert _iv_mul(Interval(Fraction(0), Fraction(1)), Interval(Fraction(1), None)) == Interval(Fraction(0), None)
+    assert _iv_mul(Interval(None, Fraction(0)), Interval(None, Fraction(0))) == Interval(Fraction(0), None)
 
 
 def test_interval_product_of_positives():
@@ -454,6 +510,9 @@ def test_revise_never_refutes_a_conjunction_through_a_point():
 
 def test_revise_refutes_an_empty_conjunction():
     assert not _revise([expr("x < 1"), expr("x >= 1")], {})
+    # an equation is refuted when either side's enclosure lies wholly above the other's
+    for eq in ("x = 5", "5 = x", "x = -5", "-5 = x"):
+        assert not _revise([expr(eq)], {"x": Interval(Fraction(0), Fraction(1))}), eq
     assert decide_satisfiability(expr("x < 1 and x >= 1 and x * y = 2")).status == "unsat"
     # x and y reach [8, 8] only in the eighth round, which leaves y >= x + 1
     # to the pass that checks the last round's box
