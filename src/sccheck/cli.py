@@ -324,7 +324,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check.add_argument("--dnf-cap", type=int, default=DEFAULT_DNF_CAP)
     check.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--box", default=None, help='sampling box, e.g. "r=[0,10];u=[-5,5]"')
+    check.add_argument("--box", default=None, help='sampling box, met with each disjunct\'s contracted box, e.g. "r=[0,10];u=[-5,5]"')
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument("--deterministic", action="store_true", help="zero timings for byte-identical reports")
     check.add_argument("--oracle", action="store_true", help="run finite-grid cross-checks where a grid is available")

@@ -11,8 +11,9 @@ The decision ladder, in order:
    nonlinear disjunct empty from the bounds its own atoms imply, starting
    from the box distribution carried for it;
 3. otherwise deterministic seeded sampling tries to find a satisfying
-   valuation, evaluated exactly; the optional box only steers where it
-   draws (default +-10^6 per variable) and never proves or refutes;
+   valuation, evaluated exactly. It draws in the box contraction left for
+   the disjunct, met with the optional box unless the two are disjoint,
+   and never proves or refutes;
 4. otherwise the verdict is an honest Unknown.
 
 Existential quantifiers in positive position are pulled to the front and
@@ -61,6 +62,7 @@ from .model import (
 DEFAULT_DNF_CAP = 4096
 DEFAULT_SAMPLES = 10000
 DEFAULT_BOX_BOUND = Fraction(10**6)
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class EngineError(Exception):
@@ -403,7 +405,7 @@ def linearize_term(term: Term) -> Optional[tuple[dict[str, Fraction], Fraction]]
         case Const(value=v):
             return {}, v
         case Var(name=n):
-            return {n: Fraction(1)}, Fraction(0)
+            return {n: _ONE}, _ZERO
         case Neg(operand=t):
             lin = linearize_term(t)
             if lin is None:
@@ -445,19 +447,21 @@ def _linearize_atom(atom: Cmp) -> Optional[list[Constraint] | bool]:
     Returns a constraint list, True/False for ground atoms, or None when
     the atom is nonlinear. `!=` never reaches here (split during DNF).
     """
-    lin = linearize_term(BinOp("-", atom.left, atom.right))
-    if lin is None:
+    left, right = linearize_term(atom.left), linearize_term(atom.right)
+    if left is None or right is None:
         return None
-    coeffs, const = lin  # left - right = coeffs . vars + const
+    (coeffs, lk), (rc, rk) = left, right  # left - right = coeffs . vars + lk - rk
+    for k, v in rc.items():
+        coeffs[k] = coeffs.get(k, _ZERO) - v
     if not any(coeffs.values()):
-        return compare(atom.op, const, Fraction(0))
+        return compare(atom.op, lk, rk)
     if atom.op in (">=", ">"):
-        coeffs, const = {k: -v for k, v in coeffs.items()}, -const
-    constraint = _mk_constraint(coeffs, -const, atom.op in ("<", ">"))
+        return [_mk_constraint({k: -v for k, v in coeffs.items()}, lk - rk, atom.op == ">")]
+    constraint = _mk_constraint(coeffs, rk - lk, atom.op == "<")
     if atom.op != "=":
         return [constraint]
     # equality: the <= pair
-    return [constraint, _mk_constraint({k: -v for k, v in coeffs.items()}, const, False)]
+    return [constraint, _mk_constraint({k: -v for k, v in coeffs.items()}, lk - rk, False)]
 
 
 def _dnf_atom_lists(a: Assertion, cap: int) -> list[tuple[list[Cmp], dict[str, Interval]]]:
@@ -713,7 +717,7 @@ class EngineOptions:
     dnf_cap: int = DEFAULT_DNF_CAP
     samples: int = DEFAULT_SAMPLES
     seed: int = 0
-    box: Optional[Mapping[str, Interval]] = None  # where sampling draws; never proves or refutes
+    box: Optional[Mapping[str, Interval]] = None  # met with each disjunct's contracted box; never proves or refutes
 
 
 # ---------------------------------------------------------------------------
@@ -723,8 +727,9 @@ _DENOMINATORS = (1, 1, 1, 1, 2, 2, 3, 4, 5, 10, 12)
 
 
 def _draw(rng: random.Random, iv: Interval, wide: bool) -> Fraction:
-    lo = iv.lo if iv.lo is not None else -DEFAULT_BOX_BOUND
-    hi = iv.hi if iv.hi is not None else DEFAULT_BOX_BOUND
+    # an open end is taken DEFAULT_BOX_BOUND out, or at the other end beyond that
+    lo = iv.lo if iv.lo is not None else min(-DEFAULT_BOX_BOUND, iv.hi if iv.hi is not None else _ZERO)
+    hi = iv.hi if iv.hi is not None else max(DEFAULT_BOX_BOUND, lo)
     if not wide:
         # prefer a small window, clamped into the box
         wlo = max(lo, Fraction(-10))
@@ -783,7 +788,9 @@ def sample_falsify(
     Every candidate is evaluated exactly in rational arithmetic; the first
     satisfying valuation is returned, or None within the budget. Equalities
     whose one side is a bare variable are propagated before random draws so
-    exact targets (e.g. r = 2/3) are reachable.
+    exact targets (e.g. r = 2/3) are reachable. Every drawn value lies in
+    `box`: the ladder passes the box interval contraction left for the
+    disjunct, met with `EngineOptions.box` unless the two are disjoint.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -873,11 +880,11 @@ def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOption
             full.setdefault(v, Fraction(0))
         return full if eval_assertion(matrix, full) else None
 
-    # whatever the exact rungs leave open goes to one sampling pool
+    # what the exact rungs leave open goes to one sampling pool, each with a box holding its models
     try:
         dnf = normalize(matrix, opts.dnf_cap)
     except DnfCapExceeded as exc:
-        pool, reason = [matrix], str(exc)
+        pool, reason = [(matrix, {})], str(exc)
     else:
         pool, reason = [], "not falsified within budget"
         tried: set[LinearSystem] = set()
@@ -885,23 +892,26 @@ def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOption
         # any interval work; a repeated system can only be unsatisfiable
         for d in sorted(dnf.disjuncts, key=lambda d: isinstance(d, NonlinearDisjunct)):
             if isinstance(d, NonlinearDisjunct):
-                if _revise(d.atoms, dict(d.box)):
-                    pool.append(conj(list(d.atoms)))
-            elif d not in tried:
-                tried.add(d)
-                if (w := fm_witness(d)) is not None:
-                    full = complete(w)
-                    if full is not None:
-                        return SatResult("sat", witness=full)
-                    # a guard only: under strong-Kleene evaluation a model
-                    # of a disjunct is a model of the matrix
-                    pool.append(system_to_assertion(d))
+                box = dict(d.box)
+                if _revise(d.atoms, box):
+                    pool.append((conj(list(d.atoms)), box))
+                continue
+            size = len(tried)
+            tried.add(d)
+            if len(tried) > size and (w := fm_witness(d)) is not None:
+                full = complete(w)
+                if full is not None:
+                    return SatResult("sat", witness=full)
+                # a guard only: under strong-Kleene evaluation a model
+                # of a disjunct is a model of the matrix
+                pool.append((system_to_assertion(d), {}))
         if not pool:
             return SatResult("unsat")
 
     per_budget = max(1, opts.samples // len(pool))
-    for idx, candidate in enumerate(pool):
-        witness = sample_falsify(candidate, opts.box, per_budget, opts.seed + idx)
+    for idx, (candidate, carried) in enumerate(pool):
+        # an empty meet leaves no model in opts.box: draw where the models are
+        witness = sample_falsify(candidate, _meet(opts.box or {}, carried) or carried, per_budget, opts.seed + idx)
         if witness is not None:
             full = complete(witness)
             if full is not None:

@@ -16,8 +16,10 @@ from sccheck.engine import (
     Interval,
     LinearSystem,
     NonlinearDisjunct,
+    SatResult,
     Status,
     _dnf_atom_lists,
+    _draw,
     _iv_mul,
     _linearize_atom,
     _meet,
@@ -570,6 +572,20 @@ def test_sampler_draws_inside_a_point_box():
     assert sample_falsify(expr("x * x = 1/49"), point, budget=1) == {"x": Fraction(1, 7)}
 
 
+def test_sampler_draws_inside_the_box_it_is_given():
+    rng = random.Random(2024)
+    ends = [Fraction(-3 * 10**6), Fraction(-7, 3), Fraction(0), Fraction(1, 7), Fraction(5), Fraction(4 * 10**6)]
+    for trial in range(3000):
+        lo, hi = sorted(rng.choices(ends, k=2))  # equal ends make a point
+        iv = Interval(rng.choice([lo, None]), rng.choice([hi, None]))
+        assert iv.contains(_draw(rng, iv, wide=trial % 5 == 4)), iv
+    # every draw sample_falsify makes for a formula that any point satisfies
+    for seed in range(200):
+        b = {"x": Interval(None, Fraction(-2 * 10**6)), "y": Interval(Fraction(3, 2), None), "z": Interval(Fraction(2, 3), Fraction(2, 3))}
+        witness = sample_falsify(expr("x <= x + 1 and y * z <= y * z + 1"), b, budget=1, seed=seed)
+        assert all(b[v].contains(witness[v]) for v in b)
+
+
 def test_sampler_input_guards():
     with pytest.raises(ValueError, match="budget must be >= 1"):
         sample_falsify(expr("x = 1"), budget=0)
@@ -687,6 +703,49 @@ def test_ladder_never_contradicts_enumeration_oracle():
         elif result.status == "unsat" and fv:
             g = FiniteGrid.of({v: halves for v in fv})
             assert not enumerate_models(formula, g)
+
+
+_HARMONIC3 = (
+    "1 <= a and a <= 2 and 1 <= b and b <= 2 and 1 <= c and c <= 2 and 0 <= u and u <= 1"
+    " and r = 1 / (1 / a + 1 / b + 1 / c) and not r = 1/3"
+)
+
+
+@pytest.mark.parametrize("samples", [50, 10000])
+def test_sampling_draws_in_the_box_interval_contraction_left(samples):
+    # blind draws from [-10, 10] put a, b and c in [1, 2] and u in [0, 1]
+    # less than once in 10,000 tries, and r then still has to miss 1/3
+    formula = expr(_HARMONIC3)
+    result = decide_satisfiability(formula, EngineOptions(samples=samples))
+    assert result.status == "sat"
+    assert eval_assertion(formula, result.witness)
+    assert Fraction(1, 3) < result.witness["r"] <= Fraction(2, 3)
+
+
+def test_sampling_leaves_a_box_that_holds_no_model():
+    # no model lies in x in [0, 1]: sampling draws from the carried box instead
+    result = decide_satisfiability(expr("x >= 5 and x * x = 36"), EngineOptions(box={"x": Interval(Fraction(0), Fraction(1))}))
+    assert result == SatResult("sat", witness={"x": Fraction(6)})
+
+
+def test_banded_parallel3_exact_refinement_is_falsified(tmp_path):
+    from sccheck.cli import CheckOptions, run_check
+
+    spec = tmp_path / "parallel3.scspec"
+    spec.write_text(
+        "quantity voltage;\nquantity current;\nquantity resistance = voltage / current;\n"
+        "component Cell { r: resistance; u: voltage; }\n"
+        "operator parallel3(a0: Cell, a1: Cell, a2: Cell) -> Cell {\n"
+        "  r = 1 / (1 / a0.r + 1 / a1.r + 1 / a2.r); u = a0.u; a1.u = a0.u; a2.u = a0.u;\n}\n"
+        "contract Part : Cell { assume 0 <= u and u <= 1; guarantee 1 <= r and r <= 2; }\n"
+        "contract Exact : Cell { assume 0 <= u and u <= 1; guarantee r = 1/3; }\n"
+        "refinement parallel3Exact : compose parallel3(Part as a0, Part as a1, Part as a2) <: Exact;\n"
+    )
+    _, report = run_check([str(spec)], CheckOptions(deterministic=True))
+    [verdict] = [ch["verdict"] for ob in report["obligations"] for ch in ob["checks"] if ch["kind"] == "refinement"]
+    assert verdict["status"] == "falsified" and verdict["side"] == "implementation"
+    u, r = Fraction(verdict["witness"]["u"]), Fraction(verdict["witness"]["r"])
+    assert 0 <= u <= 1 and Fraction(1, 3) < r <= Fraction(2, 3)
 
 
 def test_dnf_cap_on_unsat_formula_surfaces_as_unknown():

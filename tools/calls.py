@@ -8,7 +8,10 @@ banded, random-linear, wide-conj, soundness), then a total. An op that
 raises counts the calls up to its exception. The order sets iterate in
 moves these counts, so the tool re-runs itself with ``PYTHONHASHSEED=0``
 and two runs print the same lines: run it in two checkouts and ``diff``
-the outputs.
+the outputs. The calls are summed over the profiler's entries, one per
+function object: ``pstats`` keys functions by file, line and name, so
+functions that share all three (the ``__init__`` every dataclass compiles
+from ``<string>``) would keep only one count, chosen by memory layout.
 
     python3 tools/calls.py
 """
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import cProfile
 import os
-import pstats
 import sys
 
 import reports
@@ -35,7 +37,7 @@ def main() -> int:
             except Exception:
                 pass
         op_set = name.split("/")[0]
-        totals[op_set] = totals.get(op_set, 0) + pstats.Stats(profiler).total_calls
+        totals[op_set] = totals.get(op_set, 0) + sum(entry.callcount for entry in profiler.getstats())
     for op_set, calls in totals.items():
         print(op_set, calls)
     print("total", sum(totals.values()))
