@@ -14,7 +14,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import __version__
@@ -31,13 +30,13 @@ from .algebra import (
 from .diagnostics import Diagnostic, has_errors
 from .engine import DEFAULT_DNF_CAP, DEFAULT_SAMPLES, EngineOptions, Interval, Status, Verdict
 from .loader import Obligation, Universe, elaborate
-from .model import FiniteGrid, GridIncomplete, Loc, interpret_finite, refines_finite
+from .model import FiniteGrid, GridIncomplete, Loc, Rational, interpret_finite, rational, refines_finite
 from .parser import merge_documents, parse_only, resolve_document
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str) -> Rational:
     try:
-        return Fraction(text.strip())
+        return rational(text.strip())
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"not an exact rational: {text.strip()!r}") from None
 
@@ -58,7 +57,7 @@ def _split_entries(text: str, what: str) -> list[tuple[str, str]]:
     return out
 
 
-def parse_grid_flag(text: str) -> dict[str, tuple[Fraction, ...]]:
+def parse_grid_flag(text: str) -> dict[str, tuple[Rational, ...]]:
     """Parse "var=a,b,c;var2=d,e" into a grid hint mapping."""
     return {
         var: tuple(_parse_rational(v) for v in values.split(","))
@@ -108,7 +107,7 @@ def exit_code_for(verdicts: Sequence[Verdict], errors: bool) -> int:
 @dataclass
 class CheckOptions:
     obligations: tuple[str, ...] = ()
-    grid: Optional[dict[str, tuple[Fraction, ...]]] = None
+    grid: Optional[dict[str, tuple[Rational, ...]]] = None
     engine: EngineOptions = EngineOptions()
     deterministic: bool = False
     oracle: bool = False
@@ -246,13 +245,15 @@ def run_check(paths: Sequence[str], opts: CheckOptions) -> tuple[int, dict]:
             record("refinement", obligation.abstract.name, refinement)
             entry["checks"] = checks
 
-            hint: dict[str, tuple[Fraction, ...]] = dict(obligation.grid_hint or {})
+            hint: dict[str, tuple[Rational, ...]] = dict(obligation.grid_hint or {})
             if opts.grid:
                 hint.update(opts.grid)
             if opts.oracle and hint:
                 entry["oracle"] = _run_oracle(obligation, composed, hint, refinement)
 
-            entry["elapsed_s"] = 0.0 if opts.deterministic else round(time.monotonic() - started, 6)
+            # a deterministic report reads the clock once, so elapsed_s is 0.0
+            stopped = started if opts.deterministic else time.monotonic()
+            entry["elapsed_s"] = round(stopped - started, 6)
             report["obligations"].append(entry)
 
     report["diagnostics"] = [

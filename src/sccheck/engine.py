@@ -27,7 +27,6 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from .model import (
@@ -43,6 +42,7 @@ from .model import (
     Neg,
     Not,
     Or,
+    Rational,
     Term,
     UndefinedTerm,
     Valuation,
@@ -54,6 +54,7 @@ from .model import (
     eval_assertion,
     eval_term,
     free_vars,
+    quotient,
     rename_vars,
     satisfying_valuations,
     simplify_bools,
@@ -61,8 +62,7 @@ from .model import (
 
 DEFAULT_DNF_CAP = 4096
 DEFAULT_SAMPLES = 10000
-DEFAULT_BOX_BOUND = Fraction(10**6)
-_ZERO, _ONE = Fraction(0), Fraction(1)
+DEFAULT_BOX_BOUND = 10**6
 
 
 class EngineError(Exception):
@@ -91,7 +91,7 @@ class Status(str, Enum):
 @dataclass(frozen=True)
 class Verdict:
     status: Status
-    witness: Optional[Mapping[str, Fraction]] = None
+    witness: Optional[Mapping[str, Rational]] = None
     reason: Optional[str] = None
     side: Optional[str] = None
 
@@ -107,22 +107,22 @@ class SatResult:
     """Outcome of a satisfiability query: sat with witness, unsat, or unknown."""
 
     status: str  # "sat" | "unsat" | "unknown"
-    witness: Optional[dict[str, Fraction]] = None
+    witness: Optional[dict[str, Rational]] = None
     reason: Optional[str] = None
 
 
 # ---------------------------------------------------------------------------
-# intervals (every end an exact Fraction, or None = unbounded)
+# intervals (every end exact, an int or a Fraction, or None = unbounded)
 
 @dataclass(frozen=True)
 class Interval:
-    lo: Fraction | None
-    hi: Fraction | None
+    lo: Rational | None
+    hi: Rational | None
 
     def is_empty(self) -> bool:
         return self.lo is not None and self.hi is not None and self.lo > self.hi
 
-    def contains(self, x: Fraction) -> bool:
+    def contains(self, x: Rational) -> bool:
         if self.lo is not None and x < self.lo:
             return False
         if self.hi is not None and x > self.hi:
@@ -149,14 +149,14 @@ def _iv_mul(a: Interval, b: Interval) -> Interval:
     """Product. Each of the four end products is ranked as finite, with
     0 * unbounded = 0, or unbounded with the sign of its factors (an
     unbounded end has the sign of its side); finite ends stay exact."""
-    finite: list[Fraction] = []
+    finite: list[Rational] = []
     unbounded: set[bool] = set()  # True: unbounded above
     for x, x_up in ((a.lo, False), (a.hi, True)):
         for y, y_up in ((b.lo, False), (b.hi, True)):
             if x is not None and y is not None:
                 finite.append(x * y)
             elif x == 0 or y == 0:
-                finite.append(Fraction(0))
+                finite.append(0)
             else:
                 unbounded.add((x_up if x is None else x > 0) == (y_up if y is None else y > 0))
     return Interval(None if False in unbounded else min(finite), None if True in unbounded else max(finite))
@@ -164,10 +164,10 @@ def _iv_mul(a: Interval, b: Interval) -> Interval:
 
 def _iv_inv(a: Interval) -> Interval:
     """Reciprocal; unbounded for a denominator range through zero."""
-    if a.contains(Fraction(0)):
+    if a.contains(0):
         return FULL_INTERVAL
     # one sign throughout, where 1/x decreases and an unbounded end maps to 0
-    return Interval(Fraction(0) if a.hi is None else 1 / a.hi, Fraction(0) if a.lo is None else 1 / a.lo)
+    return Interval(0 if a.hi is None else quotient(1, a.hi), 0 if a.lo is None else quotient(1, a.lo))
 
 
 def interval_eval(term: Term, box: Box) -> Interval:
@@ -190,9 +190,9 @@ def interval_eval(term: Term, box: Box) -> Interval:
                 return _iv_add(la, _iv_neg(rb))
             if op == "*":
                 product = _iv_mul(la, rb)
-                if l == r and la.contains(Fraction(0)):
+                if l == r and la.contains(0):
                     # a square is never negative
-                    return Interval(Fraction(0), product.hi)
+                    return Interval(0, product.hi)
                 return product
             inv = _iv_inv(rb)
             if inv == FULL_INTERVAL:
@@ -345,8 +345,8 @@ class Constraint:
     """sum(coeff_i * var_i) (< | <=) bound, coefficients sorted and nonzero.
     An empty coefficient tuple is a ground sentinel."""
 
-    coeffs: tuple[tuple[str, Fraction], ...]
-    bound: Fraction
+    coeffs: tuple[tuple[str, Rational], ...]
+    bound: Rational
     strict: bool
 
     def is_ground(self) -> bool:
@@ -355,11 +355,11 @@ class Constraint:
     def ground_truth(self) -> bool:
         return (0 < self.bound) if self.strict else (0 <= self.bound)
 
-    def coeff(self, var: str) -> Fraction:
+    def coeff(self, var: str) -> Rational:
         for name, c in self.coeffs:
             if name == var:
                 return c
-        return Fraction(0)
+        return 0
 
 
 @dataclass(frozen=True)
@@ -395,17 +395,17 @@ class Dnf:
     disjuncts: tuple[Disjunct, ...]
 
 
-def _mk_constraint(coeffs: Mapping[str, Fraction], bound: Fraction, strict: bool) -> Constraint:
+def _mk_constraint(coeffs: Mapping[str, Rational], bound: Rational, strict: bool) -> Constraint:
     return Constraint(tuple(sorted((k, v) for k, v in coeffs.items() if v != 0)), bound, strict)
 
 
-def linearize_term(term: Term) -> Optional[tuple[dict[str, Fraction], Fraction]]:
+def linearize_term(term: Term) -> Optional[tuple[dict[str, Rational], Rational]]:
     """Decompose a term as (coefficients, constant) when it is linear."""
     match term:
         case Const(value=v):
             return {}, v
         case Var(name=n):
-            return {n: _ONE}, _ZERO
+            return {n: 1}, 0
         case Neg(operand=t):
             lin = linearize_term(t)
             if lin is None:
@@ -421,12 +421,12 @@ def linearize_term(term: Term) -> Optional[tuple[dict[str, Fraction], Fraction]]
             if op == "+":
                 out = dict(lc)
                 for k, v in rc.items():
-                    out[k] = out.get(k, Fraction(0)) + v
+                    out[k] = out.get(k, 0) + v
                 return out, lk + rk
             if op == "-":
                 out = dict(lc)
                 for k, v in rc.items():
-                    out[k] = out.get(k, Fraction(0)) - v
+                    out[k] = out.get(k, 0) - v
                 return out, lk - rk
             if op == "*":
                 if not lc:
@@ -437,7 +437,7 @@ def linearize_term(term: Term) -> Optional[tuple[dict[str, Fraction], Fraction]]
             if op == "/":
                 if rc or rk == 0:
                     return None  # variable or zero denominator
-                return {k: v / rk for k, v in lc.items()}, lk / rk
+                return {k: quotient(v, rk) for k, v in lc.items()}, quotient(lk, rk)
     raise TypeError(f"not a term: {term!r}")
 
 
@@ -452,7 +452,7 @@ def _linearize_atom(atom: Cmp) -> Optional[list[Constraint] | bool]:
         return None
     (coeffs, lk), (rc, rk) = left, right  # left - right = coeffs . vars + lk - rk
     for k, v in rc.items():
-        coeffs[k] = coeffs.get(k, _ZERO) - v
+        coeffs[k] = coeffs.get(k, 0) - v
     if not any(coeffs.values()):
         return compare(atom.op, lk, rk)
     if atom.op in (">=", ">"):
@@ -503,7 +503,7 @@ def _dnf_atom_lists(a: Assertion, cap: int) -> list[tuple[list[Cmp], dict[str, I
 def _tightest(constraints: Sequence[Constraint]) -> tuple[Constraint, ...]:
     """One constraint per coefficient vector, at its first position: the
     least bound, strict on ties. The conjunction is unchanged."""
-    best: dict[tuple[tuple[str, Fraction], ...], Constraint] = {}
+    best: dict[tuple[tuple[str, Rational], ...], Constraint] = {}
     for c in constraints:
         old = best.get(c.coeffs)
         if old is None or c.bound < old.bound or (c.bound == old.bound and c.strict):
@@ -580,13 +580,13 @@ def _combine(lower: Constraint, upper: Constraint, var: str) -> Constraint:
     is strict when either side was strict."""
     a_up = upper.coeff(var)   # > 0
     a_lo = -lower.coeff(var)  # > 0
-    coeffs: dict[str, Fraction] = {}
+    coeffs: dict[str, Rational] = {}
     for name, v in upper.coeffs:
         if name != var:
-            coeffs[name] = coeffs.get(name, Fraction(0)) + a_lo * v
+            coeffs[name] = coeffs.get(name, 0) + a_lo * v
     for name, v in lower.coeffs:
         if name != var:
-            coeffs[name] = coeffs.get(name, Fraction(0)) + a_up * v
+            coeffs[name] = coeffs.get(name, 0) + a_up * v
     bound = a_lo * upper.bound + a_up * lower.bound
     return _mk_constraint(coeffs, bound, lower.strict or upper.strict)
 
@@ -639,21 +639,21 @@ def fm_project(system: LinearSystem, variables: Sequence[str]) -> LinearSystem:
     return current
 
 
-def _bound_value(c: Constraint, var: str, assignment: Mapping[str, Fraction]) -> Fraction:
+def _bound_value(c: Constraint, var: str, assignment: Mapping[str, Rational]) -> Rational:
     """Value of the bound that constraint `c` puts on `var` at `assignment`."""
     k = c.coeff(var)
     rest = c.bound
     for name, v in c.coeffs:
         if name != var:
             rest -= v * assignment[name]
-    return rest / k
+    return quotient(rest, k)
 
 
 def _pick_between(
-    lo: Fraction | None, lo_strict: bool, hi: Fraction | None, hi_strict: bool
-) -> Fraction:
+    lo: Rational | None, lo_strict: bool, hi: Rational | None, hi_strict: bool
+) -> Rational:
     if lo is None and hi is None:
-        return Fraction(0)
+        return 0
     if lo is None:
         return hi - 1 if hi_strict else hi  # type: ignore[operator]
     if hi is None:
@@ -664,10 +664,10 @@ def _pick_between(
         return lo
     if lo > hi:
         raise EngineError("inverted bounds during back-substitution")
-    return (lo + hi) / 2
+    return quotient(lo + hi, 2)
 
 
-def fm_witness(system: LinearSystem) -> Optional[dict[str, Fraction]]:
+def fm_witness(system: LinearSystem) -> Optional[dict[str, Rational]]:
     """Satisfiability with a model, by full elimination plus back-substitution.
 
     Every original variable is processed, even when it drops out of the
@@ -687,9 +687,9 @@ def fm_witness(system: LinearSystem) -> Optional[dict[str, Fraction]]:
         remaining.remove(var)
     if current.trivially_unsat():
         return None
-    assignment: dict[str, Fraction] = {}
+    assignment: dict[str, Rational] = {}
     for var, lowers, uppers in reversed(stack):
-        lo: Fraction | None = None
+        lo: Rational | None = None
         lo_strict = False
         for c in lowers:
             val = _bound_value(c, var, assignment)
@@ -697,7 +697,7 @@ def fm_witness(system: LinearSystem) -> Optional[dict[str, Fraction]]:
                 lo, lo_strict = val, c.strict
             elif val == lo:
                 lo_strict = lo_strict or c.strict
-        hi: Fraction | None = None
+        hi: Rational | None = None
         hi_strict = False
         for c in uppers:
             val = _bound_value(c, var, assignment)
@@ -726,14 +726,14 @@ class EngineOptions:
 _DENOMINATORS = (1, 1, 1, 1, 2, 2, 3, 4, 5, 10, 12)
 
 
-def _draw(rng: random.Random, iv: Interval, wide: bool) -> Fraction:
+def _draw(rng: random.Random, iv: Interval, wide: bool) -> Rational:
     # an open end is taken DEFAULT_BOX_BOUND out, or at the other end beyond that
-    lo = iv.lo if iv.lo is not None else min(-DEFAULT_BOX_BOUND, iv.hi if iv.hi is not None else _ZERO)
+    lo = iv.lo if iv.lo is not None else min(-DEFAULT_BOX_BOUND, iv.hi if iv.hi is not None else 0)
     hi = iv.hi if iv.hi is not None else max(DEFAULT_BOX_BOUND, lo)
     if not wide:
         # prefer a small window, clamped into the box
-        wlo = max(lo, Fraction(-10))
-        whi = min(hi, Fraction(10))
+        wlo = max(lo, -10)
+        whi = min(hi, 10)
         if wlo <= whi:
             lo, hi = wlo, whi
     d = rng.choice(_DENOMINATORS)
@@ -741,7 +741,7 @@ def _draw(rng: random.Random, iv: Interval, wide: bool) -> Fraction:
     nhi = hi.numerator * d // hi.denominator      # floor(hi*d)
     if nlo > nhi:
         return lo
-    return Fraction(rng.randint(nlo, nhi), d)
+    return quotient(rng.randint(nlo, nhi), d)
 
 
 def _equalities(atoms: Sequence[Cmp]) -> list[tuple[str, Term, frozenset[str]]]:
@@ -757,7 +757,7 @@ def _equalities(atoms: Sequence[Cmp]) -> list[tuple[str, Term, frozenset[str]]]:
 
 
 def _propagate_equalities(
-    equalities: Sequence[tuple[str, Term, frozenset[str]]], assignment: dict[str, Fraction]
+    equalities: Sequence[tuple[str, Term, frozenset[str]]], assignment: dict[str, Rational]
 ) -> bool:
     """Assign variables forced by equalities (from `_equalities`) whose
     other side is already valued. Returns False when a forced value is
@@ -782,7 +782,7 @@ def sample_falsify(
     box: Optional[Box] = None,
     budget: int = DEFAULT_SAMPLES,
     seed: int = 0,
-) -> Optional[dict[str, Fraction]]:
+) -> Optional[dict[str, Rational]]:
     """Deterministic seeded search for a valuation satisfying `formula`.
 
     Every candidate is evaluated exactly in rational arithmetic; the first
@@ -807,7 +807,7 @@ def sample_falsify(
     parts = conjuncts(matrix)
     equalities = _equalities(parts) if all(isinstance(p, Cmp) for p in parts) else []
 
-    base: dict[str, Fraction] = {}
+    base: dict[str, Rational] = {}
     if equalities and not _propagate_equalities(equalities, base):
         base = {}
     to_sample = [v for v in variables if v not in base]
@@ -825,7 +825,7 @@ def sample_falsify(
         if not ok:
             continue
         for var in variables:
-            assignment.setdefault(var, Fraction(0))
+            assignment.setdefault(var, 0)
         if eval_assertion(matrix, assignment):
             return assignment
     return None
@@ -874,10 +874,10 @@ def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOption
         return SatResult("unknown", reason="universally quantified residue")
     matrix_vars = sorted(free_vars(matrix))
 
-    def complete(witness: dict[str, Fraction]) -> Optional[dict[str, Fraction]]:
+    def complete(witness: dict[str, Rational]) -> Optional[dict[str, Rational]]:
         full = dict(witness)
         for v in matrix_vars:
-            full.setdefault(v, Fraction(0))
+            full.setdefault(v, 0)
         return full if eval_assertion(matrix, full) else None
 
     # what the exact rungs leave open goes to one sampling pool, each with a box holding its models
@@ -944,7 +944,7 @@ def _fails(psi: Assertion) -> Assertion:
     def widen(a: Assertion) -> Assertion:
         match a:
             case Cmp():
-                return disj([a] + [Cmp("=", d, Const(Fraction(0))) for d in _denominators(a)])
+                return disj([a] + [Cmp("=", d, Const(0)) for d in _denominators(a)])
             case And(left=l, right=r):
                 return And(widen(l), widen(r))
             case Or(left=l, right=r):

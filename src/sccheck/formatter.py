@@ -8,8 +8,6 @@ the declared precedence allows.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .model import (
     And,
     BinOp,
@@ -53,16 +51,10 @@ def _level(node) -> int:
         case Neg():
             return _NEG
         case Const(value=v):
-            # fractions print as p/q, which reads back at division level
+            # an exact value prints as n or p/q, which reads back at division level
             return _ATOM if v.denominator == 1 else _MUL
         case _:
             return _ATOM
-
-
-def _rational(v: Fraction) -> str:
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
 
 
 def format_expr(node, parent_level: int = 0, right_of_same: bool = False) -> str:
@@ -78,7 +70,7 @@ def format_expr(node, parent_level: int = 0, right_of_same: bool = False) -> str
         case BoolLit(value=v):
             s = "true" if v else "false"
         case Const(value=v):
-            s = _rational(v)
+            s = str(v)
         case Var(name=n):
             s = n
         case Neg(operand=t):
@@ -157,7 +149,7 @@ def _format_refinement(r: RefinementDecl) -> str:
         return head + ";"
     lines = [head + " {"]
     for var, values in r.grid:
-        lines.append(f"  {var} = {', '.join(_rational(v) for v in values)};")
+        lines.append(f"  {var} = {', '.join(str(v) for v in values)};")
     lines.append("}")
     return "\n".join(lines)
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Mapping, Optional
 
 from .diagnostics import Diagnostic, has_errors
@@ -19,6 +18,7 @@ from .model import (
     CompositionOperator,
     Contract,
     FieldDecl,
+    Rational,
 )
 from .parser import SpecDocument
 from .typesystem import (
@@ -33,7 +33,7 @@ from .typesystem import (
     scope_of,
 )
 
-GridHint = Mapping[str, tuple[Fraction, ...]]
+GridHint = Mapping[str, tuple[Rational, ...]]
 
 
 @dataclass(frozen=True)

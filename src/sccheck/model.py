@@ -1,10 +1,12 @@
 """Immutable domain model and the finite-grid contract semantics.
 
-Every numeric value in the model is an exact rational
-(:class:`fractions.Fraction`); there is no floating point anywhere, so
-"proved" never rests on rounding. A contract pairs an assumption with a
-guarantee over the fields of a component type; its meaning on a finite grid
-is the pair of valuation sets (environments, implementations) computed by
+Every numeric value in the model is an exact rational, a :data:`Rational`:
+an ``int`` when it is whole and a :class:`fractions.Fraction` only when it
+is not. The two mix exactly, and every division goes through
+:func:`quotient`, so there is no floating point anywhere and "proved" never
+rests on rounding. A contract pairs an assumption with a guarantee over the
+fields of a component type; its meaning on a finite grid is the pair of
+valuation sets (environments, implementations) computed by
 :func:`interpret_finite`. That brute-force semantics is the desk-scale
 oracle the symbolic machinery is validated against.
 
@@ -28,6 +30,23 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence, Union
+
+
+Rational = int | Fraction
+"""An exact value: an int when whole, a Fraction otherwise; never a float."""
+
+
+def quotient(a: Rational, b: Rational) -> Rational:
+    """The exact a / b for a nonzero b: the int when it is whole. Every
+    division goes through here, since `/` on two ints gives a float."""
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def rational(value: Rational | str) -> Rational:
+    """A value, or a literal such as "2/3" or "0.5", exact and normal."""
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 class ModelError(Exception):
@@ -80,7 +99,7 @@ class _Node:
 
 @dataclass(frozen=True)
 class Const(_Node):
-    value: Fraction
+    value: Rational
 
 
 @dataclass(frozen=True)
@@ -265,7 +284,7 @@ def simplify_bools(a: Assertion) -> Assertion:
 # ---------------------------------------------------------------------------
 # exact evaluation
 
-def eval_term(term: Term, env: Mapping[str, Fraction]) -> Fraction:
+def eval_term(term: Term, env: Mapping[str, Rational]) -> Rational:
     match term:
         case Const(value=v):
             return v
@@ -288,11 +307,11 @@ def eval_term(term: Term, env: Mapping[str, Fraction]) -> Fraction:
             if op == "/":
                 if b == 0:
                     raise UndefinedTerm("division by zero")
-                return a / b
+                return quotient(a, b)
     raise TypeError(f"not a term: {term!r}")
 
 
-def compare(op: str, a: Fraction, b: Fraction) -> bool:
+def compare(op: str, a: Rational, b: Rational) -> bool:
     """Whether `a op b` holds, for each of the six comparisons."""
     if op == "<=":
         return a <= b
@@ -309,7 +328,7 @@ def compare(op: str, a: Fraction, b: Fraction) -> bool:
     raise ValueError(f"unknown comparison: {op}")
 
 
-GridLookup = Callable[[str], tuple[Fraction, ...]]
+GridLookup = Callable[[str], tuple[Rational, ...]]
 
 
 @dataclass
@@ -321,9 +340,9 @@ class _Joins:
     lookup: GridLookup
     # keyed by identity: the formula under evaluation keeps its nodes alive
     # for the whole pass, and the pass drops this object
-    built: dict[int, tuple[list[dict[str, Fraction]], list[Assertion]]] = field(default_factory=dict)
+    built: dict[int, tuple[list[dict[str, Rational]], list[Assertion]]] = field(default_factory=dict)
 
-    def join(self, node: Exists) -> tuple[list[dict[str, Fraction]], list[Assertion]]:
+    def join(self, node: Exists) -> tuple[list[dict[str, Rational]], list[Assertion]]:
         if id(node) not in self.built:
             bound = frozenset(node.names)
             own: list[Assertion] = []
@@ -344,7 +363,7 @@ def conjuncts(a: Assertion) -> list[Assertion]:
     return conjuncts(a.left) + conjuncts(a.right) if isinstance(a, And) else [a]
 
 
-def _eval3(a: Assertion, env: Mapping[str, Fraction], joins: _Joins | None) -> bool | None:
+def _eval3(a: Assertion, env: Mapping[str, Rational], joins: _Joins | None) -> bool | None:
     """Strong-Kleene evaluation: None marks an atom with an undefined term
     (division by zero), and a connective stays undefined only when the
     defined side cannot decide it. This keeps boolean simplification,
@@ -406,7 +425,7 @@ def _eval3(a: Assertion, env: Mapping[str, Fraction], joins: _Joins | None) -> b
 
 def eval_assertion(
     a: Assertion,
-    env: Mapping[str, Fraction],
+    env: Mapping[str, Rational],
     quantifier_grids: GridLookup | _Joins | None = None,
 ) -> bool:
     """Exact evaluation. Quantifiers range over finite grids when a lookup
@@ -518,11 +537,11 @@ class CompositionOperator:
 # ---------------------------------------------------------------------------
 # finite grids and interpretations
 
-Valuation = tuple[tuple[str, Fraction], ...]
+Valuation = tuple[tuple[str, Rational], ...]
 """A valuation frozen as a name-sorted tuple of (variable, value) pairs."""
 
 
-def freeze_valuation(env: Mapping[str, Fraction]) -> Valuation:
+def freeze_valuation(env: Mapping[str, Rational]) -> Valuation:
     return tuple(sorted(env.items()))
 
 
@@ -530,13 +549,13 @@ def freeze_valuation(env: Mapping[str, Fraction]) -> Valuation:
 class FiniteGrid:
     """Per variable, a finite ordered set of exact rationals."""
 
-    entries: tuple[tuple[str, tuple[Fraction, ...]], ...]
+    entries: tuple[tuple[str, tuple[Rational, ...]], ...]
 
     @staticmethod
-    def of(values: Mapping[str, Sequence[Fraction | int | str]]) -> "FiniteGrid":
+    def of(values: Mapping[str, Sequence[Rational | str]]) -> "FiniteGrid":
         entries = []
         for name in sorted(values):
-            vals = tuple(Fraction(x) for x in values[name])
+            vals = tuple(rational(x) for x in values[name])
             if not vals:
                 raise ValueError(f"empty grid for variable {name}")
             if len(set(vals)) != len(vals):
@@ -544,13 +563,13 @@ class FiniteGrid:
             entries.append((name, vals))
         return FiniteGrid(tuple(entries))
 
-    def values_for(self, var: str) -> tuple[Fraction, ...] | None:
+    def values_for(self, var: str) -> tuple[Rational, ...] | None:
         for name, vals in self.entries:
             if name == var:
                 return vals
         return None
 
-    def lookup(self, name: str) -> tuple[Fraction, ...]:
+    def lookup(self, name: str) -> tuple[Rational, ...]:
         """Values for a variable: its own entry, else, for a qualified name
         such as "c1.r", the entry of its bare field name "r"."""
         vals = self.values_for(name)
@@ -567,7 +586,7 @@ class FiniteGrid:
         wanted = set(variables)
         return FiniteGrid(tuple(e for e in self.entries if e[0] in wanted))
 
-    def valuations(self) -> Iterator[dict[str, Fraction]]:
+    def valuations(self) -> Iterator[dict[str, Rational]]:
         names = [name for name, _ in self.entries]
         for combo in itertools.product(*(vals for _, vals in self.entries)):
             yield dict(zip(names, combo))

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .diagnostics import Diagnostic
@@ -42,8 +41,11 @@ from .model import (
     Neg,
     Not,
     Or,
+    Rational,
     Term,
     Var,
+    quotient,
+    rational,
 )
 
 KEYWORDS = frozenset(
@@ -148,7 +150,7 @@ class RefinementDecl:
     operator: Ref
     bindings: tuple[BindingSyntax, ...]
     abstract: Ref
-    grid: tuple[tuple[str, tuple[Fraction, ...]], ...] | None
+    grid: tuple[tuple[str, tuple[Rational, ...]], ...] | None
     loc: Loc | None = field(default=None, compare=False, repr=False)
 
 
@@ -188,7 +190,7 @@ class Token:
     kind: str  # "ident" | "number" | "keyword" | punctuation text | "eof"
     text: str
     loc: Loc
-    value: Fraction | None = None
+    value: Rational | None = None
 
 
 def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
@@ -237,7 +239,7 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
                     j += 1
             lit = text[i:j]
             advance(j - i)
-            tokens.append(Token("number", lit, loc, Fraction(lit)))
+            tokens.append(Token("number", lit, loc, int(lit) if "." not in lit else rational(lit)))
             continue
         two = text[i : i + 2]
         if two in _TWO_CHAR:
@@ -429,7 +431,7 @@ class _Parser:
                 and right.value != 0
             ):
                 # fold p/q literals so formatting round-trips structurally
-                left = Const(left.value / right.value, loc=left.loc)
+                left = Const(quotient(left.value, right.value), loc=left.loc)
             else:
                 left = BinOp(t.text, left, right, loc=t.loc)
         return left
@@ -470,7 +472,7 @@ class _Parser:
         self.error(f"expected an expression, found {shown!r}", expected=("expression",))
         raise _Recover()
 
-    def parse_rational(self) -> Fraction:
+    def parse_rational(self) -> Rational:
         """Signed rational literal for grid values: [-] NUM [/ NUM]."""
         negative = False
         if self.at("-"):
@@ -485,7 +487,7 @@ class _Parser:
             if den.value == 0:
                 self.error("zero denominator in rational literal", loc=den.loc)
                 raise _Recover()
-            value = value / den.value
+            value = quotient(value, den.value)
         return -value if negative else value
 
     # -- declarations ------------------------------------------------------
@@ -631,7 +633,7 @@ class _Parser:
         grid = None
         if self.at("{"):
             self.take()
-            lines: list[tuple[str, tuple[Fraction, ...]]] = []
+            lines: list[tuple[str, tuple[Rational, ...]]] = []
             while not self.at("}") and not self.at("eof"):
                 var = self.variable("grid variable")
                 self.expect("=", "=")

@@ -386,7 +386,8 @@ def test_iv_mul_matches_the_float_sentinel_product():
     for a, b in pairs + [(zero, FULL_INTERVAL), (Interval(None, Fraction(0)), zero)]:
         product = _iv_mul(a, b)
         assert product == _float_sentinel_mul(a, b), (a, b)
-        assert all(end is None or type(end) is Fraction for end in (product.lo, product.hi)), (a, b)
+        # exact ends only: None, an int or a Fraction, never a float
+        assert all(end is None or type(end) in (int, Fraction) for end in (product.lo, product.hi)), (a, b)
     # 0 * unbounded = 0
     assert _iv_mul(zero, FULL_INTERVAL) == zero
     assert _iv_mul(Interval(Fraction(0), Fraction(1)), Interval(Fraction(1), None)) == Interval(Fraction(0), None)
