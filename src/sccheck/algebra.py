@@ -9,11 +9,12 @@ Composition builds, over parent fields and binding-qualified child fields,
 
 and then projects the children out: the composed guarantee is the
 existential projection of the guarantee body, the composed assumption the
-negated existential projection of the assumption body. Projections are
-exact (Fourier-Motzkin) when the bodies are linear, with each distinct
-projected system kept once and a system that another's constraints
-subsume dropped; otherwise the quantified residue is retained and
-downstream checks run the interval/sampling ladder on it.
+negated existential projection of the assumption body. A projection is
+exact (Fourier-Motzkin) when its body is linear: each distinct system of
+the body is projected once, each distinct projected system is kept once,
+and a system that another's constraints subsume is dropped. Otherwise the
+quantified residue is kept, downstream checks run the interval/sampling
+ladder on it, and the composition's projection reads "quantified-residue".
 """
 
 from __future__ import annotations
@@ -97,20 +98,21 @@ def _as_contract(c: Union[Contract, ComposedContract]) -> Contract:
     return c.contract if isinstance(c, ComposedContract) else c
 
 
-def _try_project_exists(
-    body: Assertion, elim_vars: Sequence[str], cap: int
-) -> Assertion | None:
-    """Exact existential projection when the body is linear, else None.
-    Each projected system is kept once, by its constraint set, in first-seen
-    order; one that contains another's constraints is subsumed and dropped."""
+def _project_exists(body: Assertion, elim_vars: Sequence[str], cap: int) -> Assertion:
+    """The existential projection of the body along `elim_vars`: exact when
+    the body is linear, else the residue ``Exists(elim_vars, body)``. Each
+    distinct system of the body is projected once; each distinct projected
+    system is kept once, by its constraint set, in first-seen order, and one
+    that contains another's constraints is subsumed and dropped."""
+    residue = Exists(tuple(elim_vars), body)
     try:
         dnf = normalize(body, cap)
     except DnfCapExceeded:
-        return None
+        return residue
     systems: dict[frozenset[Constraint], LinearSystem] = {}
     for d in dnf.disjuncts:
         if isinstance(d, NonlinearDisjunct):
-            return None
+            return residue
         projected = fm_project(d, list(elim_vars))
         if not projected.trivially_unsat():
             systems.setdefault(frozenset(projected.constraints), projected)
@@ -160,27 +162,15 @@ def compose_contracts(
         child_vars.extend(f"{bname}.{f}" for f in contract.subject.field_names())
 
     guarantee_body = simplify_bools(conj([phi] + children_sat))
-    g_proj = _try_project_exists(guarantee_body, child_vars, opts.dnf_cap)
-    if g_proj is not None:
-        guarantee = g_proj
-        g_exact = True
-    else:
-        guarantee = Exists(tuple(child_vars), guarantee_body)
-        g_exact = False
-
+    guarantee = _project_exists(guarantee_body, child_vars, opts.dnf_cap)
+    projections = [guarantee]
     conj_a = simplify_bools(conj(child_assumes))
     if isinstance(conj_a, BoolLit) and conj_a.value:
         assumption = TRUE
-        a_exact = True
     else:
         assumption_body = simplify_bools(conj([phi] + children_sat + [Not(conj_a)]))
-        a_proj = _try_project_exists(assumption_body, child_vars, opts.dnf_cap)
-        if a_proj is not None:
-            assumption = simplify_bools(Not(a_proj))
-            a_exact = True
-        else:
-            assumption = Not(Exists(tuple(child_vars), assumption_body))
-            a_exact = False
+        projections.append(_project_exists(assumption_body, child_vars, opts.dnf_cap))
+        assumption = simplify_bools(Not(projections[-1]))
 
     name = f"{op.name}({', '.join(f'{c.name} as {b}' for b, c in bindings)})"
     composed = Contract(name, op.result, assumption, guarantee)
@@ -189,7 +179,7 @@ def compose_contracts(
         operator=op,
         bindings=tuple(bindings),
         glue=phi,
-        projection="exact" if g_exact and a_exact else "quantified-residue",
+        projection="quantified-residue" if any(isinstance(p, Exists) for p in projections) else "exact",
         guarantee_body=guarantee_body,
     )
 

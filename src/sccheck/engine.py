@@ -3,10 +3,12 @@
 The decision ladder, in order:
 
 1. linear formulas are decided exactly by Fourier-Motzkin elimination on
-   the DNF, with witnesses rebuilt by back-substitution through the
-   elimination stack. Distribution carries a box for each partial
-   conjunction and drops the ones interval contraction refutes, and every
-   linear system keeps only the tightest bound per coefficient vector;
+   the DNF, each distinct linear system once. A witness is rebuilt by
+   back-substitution through the systems projection kept, each variable
+   picked between the bounds of the system it was eliminated from.
+   Distribution carries a box for each partial conjunction and drops the
+   ones interval contraction refutes, and every linear system keeps only
+   the tightest bound per coefficient vector;
 2. otherwise exact-rational interval contraction tries to prove each
    nonlinear disjunct empty from the bounds its own atoms imply, starting
    from the box distribution carried for it;
@@ -295,15 +297,16 @@ def nnf(a: Assertion, negate: bool = False) -> Assertion:
     raise TypeError(f"not an assertion: {a!r}")
 
 
-def prenex_exists(a: Assertion) -> tuple[tuple[str, ...], Assertion]:
-    """Pull existential quantifiers out of an NNF formula.
+def prenex_exists(a: Assertion) -> Assertion:
+    """The matrix of an NNF formula with its existential quantifiers pulled
+    out: their variables become free.
 
-    Bound names are renamed when they would collide with names already in
-    scope.
+    A bound name that would collide with a name already in scope is
+    renamed, each fresh name joining the names in scope before the next is
+    chosen.
     """
     used = set(free_vars(a))
     counter = itertools.count(1)
-    bound: list[str] = []
 
     def fresh(name: str) -> str:
         while True:
@@ -324,17 +327,11 @@ def prenex_exists(a: Assertion) -> tuple[tuple[str, ...], Assertion]:
                 for n in ns:
                     if n in used:
                         mapping[n] = fresh(n)
-                        used.add(mapping[n])
-                        bound.append(mapping[n])
-                    else:
-                        used.add(n)
-                        bound.append(n)
-                body = rename_vars(b, mapping) if mapping else b
-                return walk(body)
+                    used.add(mapping.get(n, n))
+                return walk(rename_vars(b, mapping) if mapping else b)
         raise TypeError(f"not an assertion: {node!r}")
 
-    matrix = walk(a)
-    return tuple(bound), matrix
+    return walk(a)
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +540,19 @@ def normalize(a: Assertion, cap: int = DEFAULT_DNF_CAP) -> Dnf:
     equations become <= pairs; a linear disjunct keeps the tightest bound
     per coefficient vector, and a disjunct containing a nonlinear atom is
     kept as a NonlinearDisjunct carrying its original atoms and its box.
-    Each distinct atom object is linearized once, however many disjuncts
-    hold it.
+    Each distinct linear system is kept once, at its first position;
+    nonlinear disjuncts are kept as they come. Each distinct atom object is
+    linearized once, however many disjuncts hold it.
     """
     products = _dnf_atom_lists(nnf(simplify_bools(a)), cap)
     distinct = {id(atom): atom for atoms, _ in products for atom in atoms}
     linear = {key: _linearize_atom(atom) for key, atom in distinct.items()}
-    disjuncts = []
+    disjuncts: list[Disjunct] = []
+    systems: dict[LinearSystem, LinearSystem] = {}  # each hashed once
     for atoms, box in products:
         d = _build_disjunct(atoms, box, linear)
+        if isinstance(d, LinearSystem) and systems.setdefault(d, d) is not d:
+            continue  # a repeat
         if d is not None:
             disjuncts.append(d)
     return Dnf(tuple(disjuncts))
@@ -559,21 +560,6 @@ def normalize(a: Assertion, cap: int = DEFAULT_DNF_CAP) -> Dnf:
 
 # ---------------------------------------------------------------------------
 # Fourier-Motzkin elimination
-
-def _split_on(system: LinearSystem, var: str):
-    lowers = []  # coeff < 0: gives a lower bound on var
-    uppers = []  # coeff > 0: gives an upper bound on var
-    rest = []
-    for c in system.constraints:
-        k = c.coeff(var)
-        if k == 0:
-            rest.append(c)
-        elif k > 0:
-            uppers.append(c)
-        else:
-            lowers.append(c)
-    return lowers, uppers, rest
-
 
 def _combine(lower: Constraint, upper: Constraint, var: str) -> Constraint:
     """Pair a lower and an upper bound on `var`; the result drops `var` and
@@ -597,8 +583,17 @@ def fm_eliminate(system: LinearSystem, var: str) -> LinearSystem:
     The solution set of the result over the remaining variables is the
     projection of the input's rational solution set.
     """
-    lowers, uppers, rest = _split_on(system, var)
-    out = list(rest)
+    out: list[Constraint] = []  # the constraints without var, then the pairs
+    lowers: list[Constraint] = []  # coeff < 0: a lower bound on var
+    uppers: list[Constraint] = []  # coeff > 0: an upper bound on var
+    for c in system.constraints:
+        k = c.coeff(var)
+        if k == 0:
+            out.append(c)
+        elif k > 0:
+            uppers.append(c)
+        else:
+            lowers.append(c)
     for lo in lowers:
         for up in uppers:
             combined = _combine(lo, up, var)
@@ -618,14 +613,14 @@ def _pairings(system: LinearSystem) -> dict[str, int]:
     return {name: lowers * uppers for name, (lowers, uppers) in counts.items()}
 
 
-def _elimination_order(pairings: Mapping[str, int], candidates: Sequence[str]) -> str:
-    """Pick the next variable: fewest lower*upper pairings, ties by name."""
-    return min(candidates, key=lambda v: (pairings.get(v, 0), v))
-
-
-def fm_project(system: LinearSystem, variables: Sequence[str]) -> LinearSystem:
-    """Eliminate several variables with the pairing-count heuristic; stops
-    early at a ground contradiction."""
+def fm_project(
+    system: LinearSystem, variables: Sequence[str], steps: Optional[list[tuple[str, LinearSystem]]] = None
+) -> LinearSystem:
+    """Eliminate several variables, each time the one with the fewest
+    lower*upper pairings, ties by name; a variable that has dropped out of
+    the system is skipped. Stops early at a ground contradiction. Each
+    eliminated variable is appended to `steps`, when given, with the system
+    it was eliminated from."""
     current = system
     remaining = list(variables)
     while not current.trivially_unsat():
@@ -633,7 +628,9 @@ def fm_project(system: LinearSystem, variables: Sequence[str]) -> LinearSystem:
         remaining = [v for v in remaining if v in pairings]
         if not remaining:
             break
-        var = _elimination_order(pairings, remaining)
+        var = min(remaining, key=lambda v: (pairings[v], v))
+        if steps is not None:
+            steps.append((var, current))
         current = fm_eliminate(current, var)
         remaining.remove(var)
     return current
@@ -668,43 +665,28 @@ def _pick_between(
 
 
 def fm_witness(system: LinearSystem) -> Optional[dict[str, Rational]]:
-    """Satisfiability with a model, by full elimination plus back-substitution.
-
-    Every original variable is processed, even when it drops out of the
-    system early, so the reverse pass always has values for the variables
-    a recorded bound mentions.
-    """
-    stack: list[tuple[str, list[Constraint], list[Constraint]]] = []
-    current = system
-    remaining = list(system.variables())
-    while remaining:
-        if current.trivially_unsat():
-            return None
-        var = _elimination_order(_pairings(current), remaining)
-        lowers, uppers, _ = _split_on(current, var)
-        stack.append((var, lowers, uppers))
-        current = fm_eliminate(current, var)
-        remaining.remove(var)
-    if current.trivially_unsat():
+    """Satisfiability with a model: `fm_project` eliminates every variable,
+    then back-substitution, last eliminated first, picks each variable
+    between the bounds that the system it was eliminated from puts on it.
+    A variable that drops out of the system before its turn takes 0."""
+    variables = system.variables()
+    steps: list[tuple[str, LinearSystem]] = []
+    if fm_project(system, variables, steps).trivially_unsat():
         return None
-    assignment: dict[str, Rational] = {}
-    for var, lowers, uppers in reversed(stack):
+    assignment: dict[str, Rational] = dict.fromkeys(variables, 0)
+    for var, source in reversed(steps):
         lo: Rational | None = None
-        lo_strict = False
-        for c in lowers:
-            val = _bound_value(c, var, assignment)
-            if lo is None or val > lo:
-                lo, lo_strict = val, c.strict
-            elif val == lo:
-                lo_strict = lo_strict or c.strict
         hi: Rational | None = None
-        hi_strict = False
-        for c in uppers:
+        lo_strict = hi_strict = False
+        for c in source.constraints:
+            k = c.coeff(var)
+            if k == 0:
+                continue
             val = _bound_value(c, var, assignment)
-            if hi is None or val < hi:
-                hi, hi_strict = val, c.strict
-            elif val == hi:
-                hi_strict = hi_strict or c.strict
+            if k < 0 and (lo is None or val >= lo):
+                lo, lo_strict = val, c.strict or (val == lo and lo_strict)
+            elif k > 0 and (hi is None or val <= hi):
+                hi, hi_strict = val, c.strict or (val == hi and hi_strict)
         assignment[var] = _pick_between(lo, lo_strict, hi, hi_strict)
     return assignment
 
@@ -798,7 +780,7 @@ def sample_falsify(
     if isinstance(simplified, BoolLit):
         return {} if simplified.value else None
     try:
-        _, matrix = prenex_exists(nnf(simplified))
+        matrix = prenex_exists(nnf(simplified))
     except UndecidableQuantifier:
         return None
     box = box or {}
@@ -869,7 +851,7 @@ def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOption
     """Run the ladder on a single satisfiability query."""
     simplified = simplify_bools(formula)
     try:
-        _, matrix = prenex_exists(nnf(simplified))
+        matrix = prenex_exists(nnf(simplified))
     except UndecidableQuantifier:
         return SatResult("unknown", reason="universally quantified residue")
     matrix_vars = sorted(free_vars(matrix))
@@ -887,18 +869,15 @@ def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOption
         pool, reason = [(matrix, {})], str(exc)
     else:
         pool, reason = [], "not falsified within budget"
-        tried: set[LinearSystem] = set()
         # linear disjuncts first, so a satisfiable one ends the query before
-        # any interval work; a repeated system can only be unsatisfiable
+        # any interval work
         for d in sorted(dnf.disjuncts, key=lambda d: isinstance(d, NonlinearDisjunct)):
             if isinstance(d, NonlinearDisjunct):
                 box = dict(d.box)
                 if _revise(d.atoms, box):
                     pool.append((conj(list(d.atoms)), box))
                 continue
-            size = len(tried)
-            tried.add(d)
-            if len(tried) > size and (w := fm_witness(d)) is not None:
+            if (w := fm_witness(d)) is not None:
                 full = complete(w)
                 if full is not None:
                     return SatResult("sat", witness=full)

@@ -377,12 +377,23 @@ def test_six_cells_in_series_stay_exact_and_proved():
     assert check_compatibility(composed).status is Status.PROVED
 
 
+def test_composition_projects_each_distinct_system_once(monkeypatch):
+    bodies = []  # the systems projected for each body, in order
+    normalize, fm_project = algebra.normalize, algebra.fm_project
+    monkeypatch.setattr(algebra, "normalize", lambda body, cap: bodies.append([]) or normalize(body, cap))
+    monkeypatch.setattr(algebra, "fm_project", lambda system, variables: bodies[-1].append(system) or fm_project(system, variables))
+    _banded_obligation(3)
+    assert len(bodies) == 2 and all(bodies)
+    assert all(len(set(systems)) == len(systems) for systems in bodies)
+
+
 def test_distribution_carries_each_conjunctions_box(monkeypatch):
     """Normalizing the three-cell banded assumption body evaluates 3,640
     terms with `interval_eval`, recursive calls included. Contracting each
     partial conjunction again from an unbounded box took 6,459. It
     linearizes each of its 22 distinct atoms once; linearizing every atom
-    of every disjunct took 456 calls."""
+    of every disjunct took 456 calls. Its 48 conjunctions make 38 distinct
+    linear systems, each kept once."""
     bodies = []
     monkeypatch.setattr(algebra, "normalize", lambda body, cap: bodies.append(body) or engine.normalize(body, cap))
     _banded_obligation(3)
@@ -405,6 +416,6 @@ def test_distribution_carries_each_conjunctions_box(monkeypatch):
         return linearize_atom(atom)
 
     monkeypatch.setattr(engine, "_linearize_atom", counting_linearize)
-    assert len(engine.normalize(bodies[-1]).disjuncts) == 48
+    assert len(engine.normalize(bodies[-1]).disjuncts) == 38
     assert calls <= 3640
     assert linearized <= 22

@@ -21,7 +21,7 @@ from sccheck.algebra import check_refinement, compose_contracts, compose_finite,
 from sccheck.cli import CheckOptions, _oracle_grid, run_check
 from sccheck.engine import EngineOptions, Status
 from sccheck.loader import elaborate
-from sccheck.model import TRUE, Exists, Implies, Not, eval_assertion, interpret_finite, refines_finite
+from sccheck.model import TRUE, And, Exists, Implies, Not, Or, eval_assertion, interpret_finite, refines_finite
 from sccheck.parser import parse_spec
 
 SEEDS = range(50)
@@ -113,6 +113,28 @@ def _ranges_over_the_grid(composed) -> bool:
     or ``true``. An exact projection ranges over the rationals instead."""
     a, g = composed.contract.assumption, composed.contract.guarantee
     return isinstance(g, Exists) and (a == TRUE or isinstance(a, Not) and isinstance(a.operand, Exists))
+
+
+def _quantifies(a) -> bool:
+    """Whether an assertion holds an existential anywhere."""
+    match a:
+        case Exists():
+            return True
+        case Not(operand=x):
+            return _quantifies(x)
+        case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r):
+            return _quantifies(l) or _quantifies(r)
+    return False
+
+
+def test_projection_is_exact_iff_no_residue_is_kept():
+    shapes = set()
+    for seed in SEEDS:
+        _, _, composed, _ = _case(seed)
+        kept = _quantifies(composed.contract.assumption) or _quantifies(composed.contract.guarantee)
+        assert (composed.projection == "exact") is not kept, seed
+        shapes.add(kept)
+    assert shapes == {False, True}
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import component, contract, expr, grid
+from sccheck import engine
 from sccheck.algebra import check_consistency
 from sccheck.engine import (
     Constraint,
@@ -115,6 +116,8 @@ def test_normalize_preserves_models(seed):
     formula = expr(text)
     g = grid(x=[-1, 0, 1], y=[-1, 0, 1])
     dnf = normalize(formula)
+    systems = [d for d in dnf.disjuncts if isinstance(d, LinearSystem)]
+    assert len(set(systems)) == len(systems)
     pieces = [
         system_to_assertion(d) if isinstance(d, LinearSystem) else And(*d.atoms)
         if len(d.atoms) > 1
@@ -238,6 +241,86 @@ def test_fm_witness_backsubstitution():
 def test_fm_witness_none_for_unsat():
     system = LinearSystem((c({"x": 1}, 0), c({"x": -1}, -1)))  # x <= 0 and x >= 1
     assert fm_witness(system) is None
+
+
+def _reference_fm_witness(system):
+    """The witness search as an elimination loop of its own: every variable
+    of the system takes a turn, fewest pairings first and ties by name, a
+    variable that dropped out being eliminated as a no-op, and each turn
+    records the bounds on its variable for back-substitution."""
+    stack = []
+    current = system
+    remaining = list(system.variables())
+    while remaining:
+        if current.trivially_unsat():
+            return None
+        pairings = engine._pairings(current)
+        var = min(remaining, key=lambda v: (pairings.get(v, 0), v))
+        lowers = [row for row in current.constraints if row.coeff(var) < 0]
+        uppers = [row for row in current.constraints if row.coeff(var) > 0]
+        stack.append((var, lowers, uppers))
+        current = fm_eliminate(current, var)
+        remaining.remove(var)
+    if current.trivially_unsat():
+        return None
+    assignment = {}
+    for var, lowers, uppers in reversed(stack):
+        lo = hi = None
+        lo_strict = hi_strict = False
+        for row in lowers:
+            val = engine._bound_value(row, var, assignment)
+            if lo is None or val > lo:
+                lo, lo_strict = val, row.strict
+            elif val == lo:
+                lo_strict = lo_strict or row.strict
+        for row in uppers:
+            val = engine._bound_value(row, var, assignment)
+            if hi is None or val < hi:
+                hi, hi_strict = val, row.strict
+            elif val == hi:
+                hi_strict = hi_strict or row.strict
+        assignment[var] = engine._pick_between(lo, lo_strict, hi, hi_strict)
+    return assignment
+
+
+def _holds(system, env):
+    for row in system.constraints:
+        total = sum(k * env[n] for n, k in row.coeffs)
+        if not (total < row.bound if row.strict else total <= row.bound):
+            return False
+    return True
+
+
+def test_fm_witness_matches_a_separate_elimination_loop():
+    """`fm_witness` back-substitutes through the systems `fm_project` kept;
+    on 600 random systems it returns what a separate elimination loop over
+    every variable returns, and each witness satisfies every constraint
+    exactly."""
+    cancelling = LinearSystem((c({"x": 1, "y": -1}, 0), c({"x": -1, "y": 1}, 0)))  # x - y <= 0, y - x <= 0
+    systems = [cancelling]
+    rng = random.Random(20)
+    for _ in range(600):
+        names = [f"v{i}" for i in range(rng.randint(2, 5))]
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            coeffs = {n: rng.randint(-3, 3) for n in names if rng.random() < 0.7}
+            rows.append(engine._mk_constraint(coeffs, rng.randint(-4, 4), rng.random() < 0.4))
+        systems.append(LinearSystem(tuple(rows)))
+    sat = vanished = 0
+    for system in systems:
+        witness = fm_witness(system)
+        assert witness == _reference_fm_witness(system), system
+        if witness is None:
+            continue
+        sat += 1
+        assert set(witness) == set(system.variables())
+        assert all(type(v) in (int, Fraction) for v in witness.values())
+        assert _holds(system, witness), (system, witness)
+        steps = []
+        fm_project(system, system.variables(), steps)
+        vanished += len(steps) < len(system.variables())
+    assert fm_witness(cancelling) == {"x": 0, "y": 0}
+    assert 100 < sat < len(systems) and vanished > 50
 
 
 def test_fm_soundness_vs_grid_oracle():
