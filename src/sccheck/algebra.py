@@ -34,6 +34,7 @@ from .engine import (
     check_implication,
     decide_satisfiability,
     fm_project,
+    nnf,
     normalize,
     system_to_assertion,
 )
@@ -99,20 +100,21 @@ def _as_contract(c: Union[Contract, ComposedContract]) -> Contract:
 
 
 def _project_exists(body: Assertion, elim_vars: Sequence[str], cap: int) -> Assertion:
-    """The existential projection of the body along `elim_vars`: exact when
-    the body is linear, else the residue ``Exists(elim_vars, body)``. Each
-    distinct system of the body is projected once; each distinct projected
-    system is kept once, by its constraint set, in first-seen order, and one
-    that contains another's constraints is subsumed and dropped."""
+    """The existential projection of the simplified, quantifier-free body
+    along `elim_vars`: exact when it is linear, else, before any projection,
+    the residue ``Exists(elim_vars, body)``. Each distinct system of the
+    body is projected once; each distinct projected system is kept once, by
+    its constraint set, in first-seen order, and one that contains another's
+    constraints is subsumed and dropped."""
     residue = Exists(tuple(elim_vars), body)
     try:
-        dnf = normalize(body, cap)
+        dnf = normalize(nnf(body), cap)
     except DnfCapExceeded:
+        return residue
+    if any(isinstance(d, NonlinearDisjunct) for d in dnf.disjuncts):
         return residue
     systems: dict[frozenset[Constraint], LinearSystem] = {}
     for d in dnf.disjuncts:
-        if isinstance(d, NonlinearDisjunct):
-            return residue
         projected = fm_project(d, list(elim_vars))
         if not projected.trivially_unsat():
             systems.setdefault(frozenset(projected.constraints), projected)
@@ -157,8 +159,8 @@ def compose_contracts(
     child_assumes: list[Assertion] = []
     child_vars: list[str] = []
     for bname, contract in bindings:
-        children_sat.append(qualify(Implies(contract.assumption, contract.guarantee), bname))
         child_assumes.append(qualify(contract.assumption, bname))
+        children_sat.append(Implies(child_assumes[-1], qualify(contract.guarantee, bname)))
         child_vars.extend(f"{bname}.{f}" for f in contract.subject.field_names())
 
     guarantee_body = simplify_bools(conj([phi] + children_sat))

@@ -18,8 +18,9 @@ The decision ladder, in order:
    and never proves or refutes;
 4. otherwise the verdict is an honest Unknown.
 
-Existential quantifiers in positive position are pulled to the front and
-treated as extra free variables; a residue that would need universal
+`decide_satisfiability` normalizes each query once, to a prenex negation
+normal form whose existentials become extra free variables, and every rung
+reads that quantifier-free matrix. A residue that would need universal
 reasoning yields Unknown rather than a guess.
 """
 
@@ -301,11 +302,11 @@ def prenex_exists(a: Assertion) -> Assertion:
     """The matrix of an NNF formula with its existential quantifiers pulled
     out: their variables become free.
 
-    A bound name that would collide with a name already in scope is
-    renamed, each fresh name joining the names in scope before the next is
-    chosen.
+    A bound name that would collide with a name already in scope (the
+    formula's free variables, gathered at the first existential) is renamed,
+    each fresh name joining the names in scope before the next is chosen.
     """
-    used = set(free_vars(a))
+    used: set[str] = set()
     counter = itertools.count(1)
 
     def fresh(name: str) -> str:
@@ -323,6 +324,8 @@ def prenex_exists(a: Assertion) -> Assertion:
             case Or(left=l, right=r):
                 return Or(walk(l), walk(r))
             case Exists(names=ns, body=b):
+                if not used:
+                    used.update(free_vars(a))
                 mapping = {}
                 for n in ns:
                     if n in used:
@@ -530,8 +533,8 @@ def _build_disjunct(
     return LinearSystem(_tightest(constraints))
 
 
-def normalize(a: Assertion, cap: int = DEFAULT_DNF_CAP) -> Dnf:
-    """Negation normal form, then DNF with a disjunct cap.
+def normalize(matrix: Assertion, cap: int = DEFAULT_DNF_CAP) -> Dnf:
+    """DNF, with a disjunct cap, of the NNF quantifier-free formula given.
 
     Conjunctions distribute left to right, each with a box narrowed from
     its parts' boxes, and a partial conjunction that interval contraction
@@ -540,18 +543,18 @@ def normalize(a: Assertion, cap: int = DEFAULT_DNF_CAP) -> Dnf:
     equations become <= pairs; a linear disjunct keeps the tightest bound
     per coefficient vector, and a disjunct containing a nonlinear atom is
     kept as a NonlinearDisjunct carrying its original atoms and its box.
-    Each distinct linear system is kept once, at its first position;
-    nonlinear disjuncts are kept as they come. Each distinct atom object is
-    linearized once, however many disjuncts hold it.
+    Each distinct linear system, by constraint set, is kept once, at its
+    first position; nonlinear disjuncts are kept as they come. Each distinct
+    atom object is linearized once, however many disjuncts hold it.
     """
-    products = _dnf_atom_lists(nnf(simplify_bools(a)), cap)
+    products = _dnf_atom_lists(matrix, cap)
     distinct = {id(atom): atom for atoms, _ in products for atom in atoms}
     linear = {key: _linearize_atom(atom) for key, atom in distinct.items()}
     disjuncts: list[Disjunct] = []
-    systems: dict[LinearSystem, LinearSystem] = {}  # each hashed once
+    systems: dict[frozenset[Constraint], LinearSystem] = {}
     for atoms, box in products:
         d = _build_disjunct(atoms, box, linear)
-        if isinstance(d, LinearSystem) and systems.setdefault(d, d) is not d:
+        if isinstance(d, LinearSystem) and systems.setdefault(frozenset(d.constraints), d) is not d:
             continue  # a repeat
         if d is not None:
             disjuncts.append(d)
@@ -760,12 +763,13 @@ def _propagate_equalities(
 
 
 def sample_falsify(
-    formula: Assertion,
+    matrix: Assertion,
     box: Optional[Box] = None,
     budget: int = DEFAULT_SAMPLES,
     seed: int = 0,
 ) -> Optional[dict[str, Rational]]:
-    """Deterministic seeded search for a valuation satisfying `formula`.
+    """Deterministic seeded search for a valuation satisfying the
+    quantifier-free `matrix`, as given; an existential raises ModelError.
 
     Every candidate is evaluated exactly in rational arithmetic; the first
     satisfying valuation is returned, or None within the budget. Equalities
@@ -776,13 +780,6 @@ def sample_falsify(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    simplified = simplify_bools(formula)
-    if isinstance(simplified, BoolLit):
-        return {} if simplified.value else None
-    try:
-        matrix = prenex_exists(nnf(simplified))
-    except UndecidableQuantifier:
-        return None
     box = box or {}
     rng = random.Random(seed)
     variables = sorted(free_vars(matrix))
@@ -848,18 +845,15 @@ def system_to_assertion(system: LinearSystem) -> Assertion:
 
 
 def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOptions()) -> SatResult:
-    """Run the ladder on a single satisfiability query."""
-    simplified = simplify_bools(formula)
+    """Run the ladder on a single satisfiability query, normalized here once
+    to the prenex NNF matrix that every rung reads."""
     try:
-        matrix = prenex_exists(nnf(simplified))
+        matrix = prenex_exists(nnf(simplify_bools(formula)))
     except UndecidableQuantifier:
         return SatResult("unknown", reason="universally quantified residue")
-    matrix_vars = sorted(free_vars(matrix))
 
     def complete(witness: dict[str, Rational]) -> Optional[dict[str, Rational]]:
-        full = dict(witness)
-        for v in matrix_vars:
-            full.setdefault(v, 0)
+        full = witness | {v: 0 for v in sorted(free_vars(matrix)) if v not in witness}
         return full if eval_assertion(matrix, full) else None
 
     # what the exact rungs leave open goes to one sampling pool, each with a box holding its models

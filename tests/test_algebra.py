@@ -85,6 +85,28 @@ def test_infeasible_child_projects_to_false():
     assert composed.contract.guarantee == BoolLit(False)
 
 
+def test_a_conditional_child_guarantee_projects_exactly():
+    # c1 guarantees r = 2 only from r >= 1 on, and nothing past r = 3; c2 guarantees r = 1
+    conditional = contract("K", CELL, "r <= 3", "r >= 1 implies r = 2")
+    composed = compose(series_op(), conditional, C1)
+    assert composed.projection == "exact"
+    assert check_implication(composed.contract.guarantee, expr("r < 2 or r = 3 or r > 4")).status is Status.PROVED
+    assert check_implication(composed.contract.assumption, expr("r <= 4")).status is Status.PROVED
+    g = grid(r=[0, 1, 2, 3, 4, 5], **{"c1.r": [-1, 0, 1, 2, 3, 4], "c2.r": [0, 1, 2]})
+    assert verify_min_characterization(composed, g, interpret_composed_finite(composed, g))
+
+
+def test_a_residue_is_kept_before_any_system_is_projected(monkeypatch):
+    projected = []
+    fm_project = algebra.fm_project
+    monkeypatch.setattr(algebra, "fm_project", lambda system, variables: projected.append(system) or fm_project(system, variables))
+    # the first disjunct is linear, the second holds the product
+    bounded = contract("B", CELL, "true", "r <= 0 or r * r = 2")
+    composed = compose(series_op(), bounded, C1)
+    assert composed.projection == "quantified-residue"
+    assert projected == []
+
+
 def test_nontrivial_child_assumptions_projected_into_parent_assumption():
     # child c1 assumes r <= 2; glue forces c1.r = r, so the composed
     # assumption must reject parents with r > 2

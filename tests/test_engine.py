@@ -71,12 +71,21 @@ def test_normalize_equation_to_le_pair():
 
 
 def test_normalize_de_morgan_split():
-    dnf = normalize(expr("not (i >= 0 and i <= 2)"))
+    dnf = normalize(nnf(expr("not (i >= 0 and i <= 2)")))
     assert len(dnf.disjuncts) == 2
     assert set(dnf.disjuncts) == {
         LinearSystem((c({"i": 1}, 0, strict=True),)),   # i < 0
         LinearSystem((c({"i": -1}, -2, strict=True),)),  # i > 2
     }
+
+
+def test_normalize_keeps_one_system_per_constraint_set():
+    # the same two constraints, met in both orders
+    dnf = normalize(expr("(x <= 1 and y <= 2) or (y <= 2 and x <= 1) or x <= 0"))
+    assert dnf.disjuncts == (
+        LinearSystem((c({"x": 1}, 1), c({"y": 1}, 2))),
+        LinearSystem((c({"x": 1}, 0),)),
+    )
 
 
 def test_normalize_nonlinear_residue():
@@ -673,8 +682,6 @@ def test_sampler_draws_inside_the_box_it_is_given():
 def test_sampler_input_guards():
     with pytest.raises(ValueError, match="budget must be >= 1"):
         sample_falsify(expr("x = 1"), budget=0)
-    # a negated existential needs universal reasoning
-    assert sample_falsify(Not(Exists(("y",), expr("x = y")))) is None
     # an undefined forced value drops every propagated equality
     assert sample_falsify(expr("y = 0 and x = 1 / y"), budget=20) is None
 
@@ -830,6 +837,31 @@ def test_banded_parallel3_exact_refinement_is_falsified(tmp_path):
     assert verdict["status"] == "falsified" and verdict["side"] == "implementation"
     u, r = Fraction(verdict["witness"]["u"]), Fraction(verdict["witness"]["r"])
     assert 0 <= u <= 1 and Fraction(1, 3) < r <= Fraction(2, 3)
+
+
+def test_a_negated_existential_reads_unknown():
+    result = decide_satisfiability(Not(Exists(("y",), expr("x = y"))))
+    assert result == SatResult("unknown", reason="universally quantified residue")
+
+
+@pytest.mark.parametrize("text, status, counts", [
+    ("x >= 1 and x <= 0", "unsat", (1, 1, 0)),
+    ("x >= 1 and y <= 0", "sat", (1, 1, 1)),
+    # interval contraction leaves x * x = 4 open, and sampling meets x = 2
+    ("x * x = 4", "sat", (1, 1, 2)),
+])
+def test_a_query_is_normalized_once(monkeypatch, text, status, counts):
+    """Boolean simplification and the prenex pass run once per query, and
+    free variables are gathered only to complete a witness and to sample."""
+    calls = {name: 0 for name in ("simplify_bools", "prenex_exists", "free_vars")}
+    for name in calls:
+        def counting(*args, original=getattr(engine, name), name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(engine, name, counting)
+    assert decide_satisfiability(expr(text)).status == status
+    assert tuple(calls.values()) == counts
 
 
 def test_dnf_cap_on_unsat_formula_surfaces_as_unknown():

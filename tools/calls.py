@@ -4,7 +4,10 @@ them. The tool uses the stdlib only, with no flags.
 Runs each op of ``tools/reports.py`` (the benchmark's seed-0 ops and the
 composition soundness seeds) through its ``run`` under ``cProfile``, and
 prints the total calls, builtins included, per op set (corpus-oracle,
-banded, random-linear, wide-conj, soundness), then a total. An op that
+banded, random-linear, wide-conj, soundness), then a total. Under each op
+set's line come the ten ``src/sccheck`` functions that op set calls most,
+one ``  module.function calls`` line each (nested functions by their
+qualified name on Python 3.11 and later), ties in name order. An op that
 raises counts the calls up to its exception. The order sets iterate in
 moves these counts, so the tool re-runs itself with ``PYTHONHASHSEED=0``
 and two runs print the same lines: run it in two checkouts and ``diff``
@@ -21,8 +24,11 @@ from __future__ import annotations
 import cProfile
 import os
 import sys
+from collections import Counter
 
 import reports
+
+PACKAGE = str(reports.ROOT / "src" / "sccheck")
 
 
 def main() -> int:
@@ -30,6 +36,7 @@ def main() -> int:
         os.environ["PYTHONHASHSEED"] = "0"
         os.execv(sys.executable, [sys.executable, *sys.argv])
     totals: dict[str, int] = {}
+    functions: dict[str, Counter[str]] = {}
     for name, text, path, options in reports.ops():
         with cProfile.Profile() as profiler:
             try:
@@ -37,9 +44,18 @@ def main() -> int:
             except Exception:
                 pass
         op_set = name.split("/")[0]
-        totals[op_set] = totals.get(op_set, 0) + sum(entry.callcount for entry in profiler.getstats())
+        entries = profiler.getstats()
+        totals[op_set] = totals.get(op_set, 0) + sum(entry.callcount for entry in entries)
+        counts = functions.setdefault(op_set, Counter())
+        for entry in entries:
+            code = entry.code  # a string for builtins
+            if not isinstance(code, str) and os.path.dirname(code.co_filename) == PACKAGE:
+                module = os.path.splitext(os.path.basename(code.co_filename))[0]
+                counts[f"{module}.{getattr(code, 'co_qualname', code.co_name)}"] += entry.callcount
     for op_set, calls in totals.items():
         print(op_set, calls)
+        for function, count in sorted(functions[op_set].items(), key=lambda item: (-item[1], item[0]))[:10]:
+            print(f"  {function} {count}")
     print("total", sum(totals.values()))
     return 0
 
