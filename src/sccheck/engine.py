@@ -5,13 +5,17 @@ The decision ladder, in order:
 1. linear formulas are decided exactly by Fourier-Motzkin elimination on
    the DNF, each distinct linear system once. A witness is rebuilt by
    back-substitution through the systems projection kept, each variable
-   picked between the bounds of the system it was eliminated from.
-   Distribution carries a box for each partial conjunction and drops the
-   ones interval contraction refutes, and every linear system keeps only
-   the tightest bound per coefficient vector;
+   picked between the bounds of the system it was eliminated from;
+   completed with zeros, it is a model of the formula. Distribution
+   carries a box for each partial conjunction and drops the ones interval
+   contraction refutes, and every linear system keeps only the tightest
+   bound per coefficient vector;
 2. otherwise exact-rational interval contraction tries to prove each
-   nonlinear disjunct empty from the bounds its own atoms imply, starting
-   from the box distribution carried for it;
+   nonlinear disjunct empty from the bounds its own atoms imply. It is a
+   worklist: it resumes from the box distribution carried for the disjunct
+   and revises only the atoms not yet revised against it, requeueing an
+   atom when a variable it watches narrows, within a budget of revisions
+   per atom. A disjunct with nothing pending costs no interval work;
 3. otherwise deterministic seeded sampling tries to find a satisfying
    valuation, evaluated exactly. It draws in the box contraction left for
    the disjunct, met with the optional box unless the two are disjoint,
@@ -210,55 +214,122 @@ def _intersect(a: Interval, b: Interval) -> Interval:
     return Interval(lo, hi)
 
 
-def _meet(a: Box, b: Box) -> Optional[dict[str, Interval]]:
-    """The intersection of two boxes, or None when it is empty."""
+def _meet(a: Box, b: Box, narrowed: Optional[list[str]] = None) -> Optional[dict[str, Interval]]:
+    """The intersection of two boxes, or None when it is empty. Appends to
+    `narrowed`, when given, each variable whose interval in `a` shrank."""
     out = dict(a)
     for name, iv in b.items():
-        new = _intersect(out.get(name, FULL_INTERVAL), iv)
+        old = out.get(name, FULL_INTERVAL)
+        new = _intersect(old, iv)
         if new.is_empty():
             return None
+        if narrowed is not None and new != old:
+            narrowed.append(name)
         out[name] = new
     return out
+
+
+def _variables(*terms: Term) -> set[str]:
+    """The variables of some terms, without recursion."""
+    out: set[str] = set()
+    todo = list(terms)
+    while todo:
+        match todo.pop():
+            case Var(name=n):
+                out.add(n)
+            case Neg(operand=t):
+                todo.append(t)
+            case BinOp(left=l, right=r):
+                todo += (l, r)
+    return out
+
+
+Watches = dict[int, tuple[Cmp, set[str]]]
+
+
+def _watched(atom: Cmp, watches: Watches) -> set[str]:
+    """The variables whose narrowing may let a revised atom narrow or refute
+    again, gathered once per `watches` dict, whose entries keep their atoms
+    alive so that no id is reused while it lives. They are the atom's
+    variables, except that a non-strict comparison of a bare variable with
+    a constant term watches none: once revised, it holds in every nonempty
+    box inside the box it was revised against, and revision never empties
+    a box."""
+    entry = watches.get(id(atom))
+    if entry is None:
+        sides = (atom.left, atom.right)
+        names = _variables(*sides)
+        if atom.op not in ("<", ">") and any(
+            isinstance(side, Var) and not _variables(other) for side, other in (sides, sides[::-1])
+        ):
+            names = set()
+        entry = watches[id(atom)] = (atom, names)
+    return entry[1]
 
 
 _SWAPPED_CMP = {">=": "<=", ">": "<"}
 _REVISE_ROUNDS = 8
 
 
-def _revise(atoms: Sequence[Cmp], box: dict[str, Interval]) -> bool:
+def _revise(
+    atoms: Sequence[Cmp],
+    box: dict[str, Interval],
+    queue: Optional[Sequence[int]] = None,
+    watches: Optional[Watches] = None,
+) -> bool:
     """Narrow `box` in place to the bounds a conjunction of atoms implies
     within it; False when the atoms cannot all hold in the box.
 
-    Each round evaluates both sides of every atom once, refutes at the
-    first atom whose enclosures' ends rule it out, and intersects each
-    bare-variable side with the other side's enclosure. Rounds stop at the
-    first that narrows nothing; when all `_REVISE_ROUNDS` narrow, one more
-    pass checks every atom against the box the last one left, and narrows
-    nothing.
+    A worklist of atom indices, first in first out, starts from `queue`, or
+    from every atom. Revising an atom evaluates both of its sides once,
+    refutes when their enclosures' ends rule it out, and intersects each
+    bare-variable side with the other side's enclosure. Each variable that
+    narrows requeues every atom that watches it and is not queued; the atom
+    itself only when the variable is on its other side too, since
+    otherwise a second revision would narrow nothing. The atoms left out of
+    `queue` must hold in the box, as revised against it; each narrowing is
+    monotone, so an emptied worklist leaves the box that revising every
+    atom until none narrows leaves. A budget of `_REVISE_ROUNDS` revisions
+    per atom bounds the work: once it is spent, the atoms still queued are
+    checked against the box and narrow nothing, and no later call resumes
+    them, so the box holds every model but may be wider than the fixpoint.
+    `watches` caches what each atom watches, by `_watched`.
     """
-    for done in range(_REVISE_ROUNDS + 1):
-        changed = False
-        for atom in atoms:
-            left, op, right = atom.left, atom.op, atom.right
-            if op in _SWAPPED_CMP:
-                left, op, right = right, _SWAPPED_CMP[op], left
-            lv, rv = interval_eval(left, box), interval_eval(right, box)
-            # op is now <=, < or =: the left side stays under the right
-            # side's upper end, and the right side over the left side's lower end
-            lo, hi = lv.lo, rv.hi
-            if lo is not None and hi is not None and (lo >= hi if op == "<" else lo > hi):
-                return False
-            if op == "=" and rv.lo is not None and lv.hi is not None and rv.lo > lv.hi:
-                return False
-            if done == _REVISE_ROUNDS:
-                continue
-            for side, cur, other_lo, other_hi in ((left, lv, rv.lo if op == "=" else None, rv.hi),
-                                                  (right, rv, lv.lo, lv.hi if op == "=" else None)):
-                if isinstance(side, Var) and (new := _intersect(cur, Interval(other_lo, other_hi))) != cur:
-                    box[side.name] = new
-                    changed = True
-        if not changed:
-            break
+    todo = list(range(len(atoms)) if queue is None else queue)
+    queued = set(todo)
+    budget = _REVISE_ROUNDS * len(atoms)
+    watchers: Optional[dict[str, list[int]]] = None  # variable -> the atoms that watch it
+    for index in todo:  # first in first out: the loop reaches what is appended
+        queued.remove(index)
+        atom = atoms[index]
+        left, op, right = atom.left, atom.op, atom.right
+        if op in _SWAPPED_CMP:
+            left, op, right = right, _SWAPPED_CMP[op], left
+        lv, rv = interval_eval(left, box), interval_eval(right, box)
+        # op is now <=, < or =: the left side stays under the right
+        # side's upper end, and the right side over the left side's lower end
+        lo, hi = lv.lo, rv.hi
+        if lo is not None and hi is not None and (lo >= hi if op == "<" else lo > hi):
+            return False
+        if op == "=" and rv.lo is not None and lv.hi is not None and rv.lo > lv.hi:
+            return False
+        if not budget:
+            continue
+        budget -= 1
+        for side, other, cur, other_lo, other_hi in ((left, right, lv, rv.lo if op == "=" else None, rv.hi),
+                                                     (right, left, rv, lv.lo, lv.hi if op == "=" else None)):
+            if isinstance(side, Var) and (new := _intersect(cur, Interval(other_lo, other_hi))) != cur:
+                box[side.name] = new
+                if watchers is None:
+                    watchers = {}
+                    watches = {} if watches is None else watches
+                    for i, a in enumerate(atoms):
+                        for name in _watched(a, watches):
+                            watchers.setdefault(name, []).append(i)
+                for i in watchers.get(side.name, ()):
+                    if i not in queued and (i != index or side.name in _variables(other)):
+                        queued.add(i)
+                        todo.append(i)
     return True
 
 
@@ -381,10 +452,13 @@ class LinearSystem:
 class NonlinearDisjunct:
     """A conjunction that contains at least one nonlinear atom; kept in its
     original atom form for the interval/sampling paths, with the box
-    distribution narrowed it to (no part of its identity)."""
+    distribution narrowed it to and the indices of the atoms not yet
+    revised against that box, None for all of them (neither is part of its
+    identity)."""
 
     atoms: tuple[Cmp, ...]
     box: Box = field(default_factory=dict, compare=False, repr=False)
+    pending: Optional[tuple[int, ...]] = field(default=None, compare=False, repr=False)
 
 
 Disjunct = Union[LinearSystem, NonlinearDisjunct]
@@ -464,38 +538,68 @@ def _linearize_atom(atom: Cmp) -> Optional[list[Constraint] | bool]:
     return [constraint, _mk_constraint({k: -v for k, v in coeffs.items()}, lk - rk, False)]
 
 
-def _dnf_atom_lists(a: Assertion, cap: int) -> list[tuple[list[Cmp], dict[str, Interval]]]:
+# a partial conjunction: its atoms, a box holding all of its models, the
+# index of its first atom never revised against the box, and the variables
+# a meet has narrowed since the atoms before that index were revised
+Product = tuple[list[Cmp], dict[str, Interval], int, tuple[str, ...]]
+
+
+def _pending(atoms: Sequence[Cmp], start: int, narrowed: Sequence[str], watches: Watches) -> list[int]:
+    """The indices of a product's atoms not yet revised against its box:
+    the earlier atoms that watch a narrowed variable, then those from
+    `start` on."""
+    changed = set(narrowed)
+    early = [i for i in range(start) if not changed.isdisjoint(_watched(atoms[i], watches))] if changed else []
+    return early + list(range(start, len(atoms)))
+
+
+def _dnf_atom_lists(a: Assertion, cap: int, watches: Optional[Watches] = None) -> list[Product]:
     """Distribute an NNF, quantifier-free formula into conjunctions of
-    atoms, each with a box that holds all of its models.
+    atoms, each with a box that holds all of its models and what of it is
+    not yet revised against that box.
 
     A conjunction distributes left to right, in lexicographic order. Each
     product starts from the meet of its parts' boxes, and an empty meet
     drops it. After each conjunct that branches, every product is revised
-    from that meet, and the ones refuted are dropped: they are empty, and
-    so is every extension of them. The cap bounds each product about to be
-    built.
+    from that meet, starting from its pending atoms: the new conjunct's
+    atoms, and the earlier ones that watch a variable some meet narrowed
+    since they were last revised. The ones refuted are dropped: they are
+    empty, and so is every extension of them. The cap bounds each product
+    about to be built. `watches` caches what each atom watches, by
+    `_watched`.
     """
+    watches = {} if watches is None else watches
     match a:
         case BoolLit(value=v):
-            return [([], {})] if v else []
+            return [([], {}, 0, ())] if v else []
         case Cmp(op=op):
             if op == "!=":
-                return [([Cmp("<", a.left, a.right)], {}), ([Cmp(">", a.left, a.right)], {})]
-            return [([a], {})]
+                return [([Cmp("<", a.left, a.right)], {}, 0, ()), ([Cmp(">", a.left, a.right)], {}, 0, ())]
+            return [([a], {}, 0, ())]
         case Or(left=l, right=r):
-            out = _dnf_atom_lists(l, cap) + _dnf_atom_lists(r, cap)
+            out = _dnf_atom_lists(l, cap, watches) + _dnf_atom_lists(r, cap, watches)
             if len(out) > cap:
                 raise DnfCapExceeded(cap)
             return out
         case And():
-            out = [([], {})]
+            out = [([], {}, 0, ())]
             for part in conjuncts(a):
-                lists = _dnf_atom_lists(part, cap)
+                lists = _dnf_atom_lists(part, cap, watches)
                 if len(out) * len(lists) > cap:
                     raise DnfCapExceeded(cap)
-                products = ((la + ra, _meet(lbox, rbox)) for la, lbox in out for ra, rbox in lists)
-                out = [(atoms, box) for atoms, box in products
-                       if box is not None and (len(lists) == 1 or _revise(atoms, box))]
+                extended: list[Product] = []
+                for la, lbox, start, narrowed in out:
+                    for ra, rbox, _, _ in lists:
+                        moved: list[str] = []
+                        box = _meet(lbox, rbox, moved)
+                        if box is None:
+                            continue
+                        atoms, stale = la + ra, narrowed + tuple(moved)
+                        if len(lists) == 1:
+                            extended.append((atoms, box, start, stale))
+                        elif _revise(atoms, box, _pending(atoms, start, stale, watches), watches):
+                            extended.append((atoms, box, len(atoms), ()))
+                out = extended
             return out
     raise TypeError(f"unexpected node in NNF matrix: {a!r}")
 
@@ -512,10 +616,11 @@ def _tightest(constraints: Sequence[Constraint]) -> tuple[Constraint, ...]:
 
 
 def _build_disjunct(
-    atoms: Sequence[Cmp], box: Box, linear: Mapping[int, Optional[list[Constraint] | bool]]
+    product: Product, linear: Mapping[int, Optional[list[Constraint] | bool]], watches: Watches
 ) -> Optional[Disjunct]:
-    """Classify a conjunction of atoms, each linearized in `linear` by its
-    id; None means it is ground-false."""
+    """Classify a product's conjunction of atoms, each linearized in
+    `linear` by its id; None means it is ground-false."""
+    atoms, box, start, narrowed = product
     constraints: list[Constraint] = []
     nonlinear = False
     for atom in atoms:
@@ -529,7 +634,7 @@ def _build_disjunct(
         else:
             constraints.extend(lin)
     if nonlinear:
-        return NonlinearDisjunct(tuple(atoms), box)
+        return NonlinearDisjunct(tuple(atoms), box, tuple(_pending(atoms, start, narrowed, watches)))
     return LinearSystem(_tightest(constraints))
 
 
@@ -542,18 +647,21 @@ def normalize(matrix: Assertion, cap: int = DEFAULT_DNF_CAP) -> Dnf:
     conjunctions kept. `!=` splits into two strict disjuncts and linear
     equations become <= pairs; a linear disjunct keeps the tightest bound
     per coefficient vector, and a disjunct containing a nonlinear atom is
-    kept as a NonlinearDisjunct carrying its original atoms and its box.
-    Each distinct linear system, by constraint set, is kept once, at its
-    first position; nonlinear disjuncts are kept as they come. Each distinct
-    atom object is linearized once, however many disjuncts hold it.
+    kept as a NonlinearDisjunct carrying its original atoms, its box and
+    the atoms still pending against that box, for the interval rung to
+    resume from. Each distinct linear system, by constraint set, is kept
+    once, at its first position; nonlinear disjuncts are kept as they come.
+    Each distinct atom object is linearized once, however many disjuncts
+    hold it, and its variables are gathered at most once in this call.
     """
-    products = _dnf_atom_lists(matrix, cap)
-    distinct = {id(atom): atom for atoms, _ in products for atom in atoms}
+    watches: Watches = {}
+    products = _dnf_atom_lists(matrix, cap, watches)
+    distinct = {id(atom): atom for atoms, *_ in products for atom in atoms}
     linear = {key: _linearize_atom(atom) for key, atom in distinct.items()}
     disjuncts: list[Disjunct] = []
     systems: dict[frozenset[Constraint], LinearSystem] = {}
-    for atoms, box in products:
-        d = _build_disjunct(atoms, box, linear)
+    for product in products:
+        d = _build_disjunct(product, linear, watches)
         if isinstance(d, LinearSystem) and systems.setdefault(frozenset(d.constraints), d) is not d:
             continue  # a repeat
         if d is not None:
@@ -852,9 +960,8 @@ def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOption
     except UndecidableQuantifier:
         return SatResult("unknown", reason="universally quantified residue")
 
-    def complete(witness: dict[str, Rational]) -> Optional[dict[str, Rational]]:
-        full = witness | {v: 0 for v in sorted(free_vars(matrix)) if v not in witness}
-        return full if eval_assertion(matrix, full) else None
+    def complete(witness: dict[str, Rational]) -> dict[str, Rational]:
+        return witness | {v: 0 for v in sorted(free_vars(matrix)) if v not in witness}
 
     # what the exact rungs leave open goes to one sampling pool, each with a box holding its models
     try:
@@ -868,16 +975,12 @@ def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOption
         for d in sorted(dnf.disjuncts, key=lambda d: isinstance(d, NonlinearDisjunct)):
             if isinstance(d, NonlinearDisjunct):
                 box = dict(d.box)
-                if _revise(d.atoms, box):
+                if _revise(d.atoms, box, d.pending):
                     pool.append((conj(list(d.atoms)), box))
-                continue
-            if (w := fm_witness(d)) is not None:
-                full = complete(w)
-                if full is not None:
-                    return SatResult("sat", witness=full)
-                # a guard only: under strong-Kleene evaluation a model
-                # of a disjunct is a model of the matrix
-                pool.append((system_to_assertion(d), {}))
+            elif (w := fm_witness(d)) is not None:
+                # linear atoms are defined everywhere, and under strong
+                # Kleene a model of a disjunct is a model of the matrix
+                return SatResult("sat", witness=complete(w))
         if not pool:
             return SatResult("unsat")
 
@@ -887,7 +990,7 @@ def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOption
         witness = sample_falsify(candidate, _meet(opts.box or {}, carried) or carried, per_budget, opts.seed + idx)
         if witness is not None:
             full = complete(witness)
-            if full is not None:
+            if eval_assertion(matrix, full):
                 return SatResult("sat", witness=full)
     return SatResult("unknown", reason=reason)
 

@@ -25,6 +25,7 @@ from sccheck.engine import (
     _linearize_atom,
     _meet,
     _revise,
+    _watched,
     check_implication,
     decide_satisfiability,
     enumerate_models,
@@ -609,11 +610,90 @@ def test_revise_refutes_an_empty_conjunction():
     for eq in ("x = 5", "5 = x", "x = -5", "-5 = x"):
         assert not _revise([expr(eq)], {"x": Interval(Fraction(0), Fraction(1))}), eq
     assert decide_satisfiability(expr("x < 1 and x >= 1 and x * y = 2")).status == "unsat"
-    # x and y reach [8, 8] only in the eighth round, which leaves y >= x + 1
-    # to the pass that checks the last round's box
+    # x and y climb by one every four revisions and reach [8, 8] only with
+    # the last of the budget's 32 (8 per atom), which leaves y >= x + 1 to
+    # the check of the atoms still queued
     late = "x >= 0 and x <= 8 and y >= x + 1 and x >= y"
     assert not _revise(conjuncts(expr(late)), {})
     assert decide_satisfiability(expr(f"{late} and z * z >= 0")).status == "unsat"
+
+
+def _settled(atoms, box):
+    """Whether revising every atom again leaves the box as it is."""
+    again = dict(box)
+    return _revise(atoms, again) and again == box
+
+
+def test_revise_resumed_from_a_fixpoint_matches_a_revise_from_scratch():
+    rng = random.Random(22)
+    compared = refuted = narrowed = 0
+    for _ in range(400):
+        point = {v: Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3])) for v in "xyz"}
+        other = point if rng.random() < 0.3 else {v: Fraction(rng.randint(-6, 6)) for v in "xyz"}
+        settled = [_atom_through(rng, point) for _ in range(rng.randint(1, 4))]
+        atoms = settled + [_atom_through(rng, other) for _ in range(rng.randint(1, 3))]
+        start = {v: Interval(point[v] - rng.randint(0, 4), point[v] + rng.randint(0, 4)) for v in rng.sample("xyz", 2)}
+        box = dict(start)
+        if not (_revise(settled, box) and _settled(settled, box)):
+            continue
+        resumed, scratch = dict(box), dict(start)
+        holds = _revise(atoms, resumed, range(len(settled), len(atoms)))
+        expected = _revise(atoms, scratch)
+        if (holds and not _settled(atoms, resumed)) or (expected and not _settled(atoms, scratch)):
+            continue  # a budget ran out before the fixpoint
+        assert holds == expected, (atoms, start)
+        if holds:
+            assert resumed == scratch, (atoms, start)
+            narrowed += resumed != box
+        compared += 1
+        refuted += not holds
+    assert compared > 350 and refuted > 60 and narrowed > 100, (compared, refuted, narrowed)
+
+
+def test_a_meet_that_narrows_a_revised_atom_requeues_it():
+    # after the second conjunct, y >= x + 1 is revised and narrows nothing;
+    # the third's first product, revised to x >= 5 and y <= 3, meets it
+    # with a box that refutes it, though its own atoms hold there
+    text = "y >= x + 1 and (w < 0 or w > 1) and (x >= 5 and y <= 3 and (u < 0 or u > 1) or v = 0)"
+    lists = _dnf_atom_lists(nnf(expr(text)), 4096)
+    assert [atoms for atoms, *_ in lists] == [
+        [expr("y >= x + 1"), expr("w < 0"), expr("v = 0")],
+        [expr("y >= x + 1"), expr("w > 1"), expr("v = 0")],
+    ]
+    own = [expr("x >= 5"), expr("y <= 3"), expr("u < 0")]
+    assert _revise(own, {"x": Interval(5, None), "y": Interval(None, 3), "u": Interval(None, 0)})
+    # the interval rung resumes each nonlinear disjunct from its pending
+    # atoms, the three after the last conjunct that branched
+    late = "y >= x + 1 and (w < 0 or w > 1) and x >= 5 and y <= 3 and z * z >= 0"
+    assert [d.pending for d in normalize(nnf(expr(late))).disjuncts] == [(2, 3, 4), (2, 3, 4)]
+    assert decide_satisfiability(expr(late)).status == "unsat"
+
+
+def test_revise_halving_forever_stops_within_its_budget():
+    one = Fraction(1)
+    box = {"x": Interval(-one, one), "y": Interval(-one, one)}
+    assert _revise(conjuncts(expr("x = y / 2 and y = x / 2")), box)
+    assert box["x"].contains(0) and box["y"].contains(0)
+    assert box["x"] != Interval(-one, one)
+    # an atom that narrows a variable on its other side too is requeued
+    box = {"x": Interval(0, 8)}
+    assert _revise([expr("x <= x / 2 + 1")], box)
+    assert box["x"].hi < 3
+
+
+@pytest.mark.parametrize("text, watched", [
+    ("x <= 3", set()),
+    ("3 = x", set()),
+    ("x >= 2 * 3", set()),
+    ("x < 3", {"x"}),
+    ("x <= y", {"x", "y"}),
+    ("x <= x + 1", {"x"}),
+    ("x * x <= 4", {"x"}),
+])
+def test_a_revised_bound_on_one_variable_watches_none(text, watched):
+    """A non-strict bound of a bare variable by a constant holds in every
+    box inside the one it narrowed, so no narrowing requeues it."""
+    assert _watched(expr(text), {}) == watched
 
 
 def test_an_empty_meet_drops_a_product_unrevised():
@@ -626,7 +706,7 @@ def test_an_empty_meet_drops_a_product_unrevised():
     first = "(x >= 2 and (y < 0 or y > 1) or w = 0)"
     second = "(x <= 1 and (z < 0 or x > 5) or false)"
     lists = _dnf_atom_lists(nnf(expr(f"{first} and {second}")), 4096)
-    assert [atoms for atoms, _ in lists] == [[expr("w = 0"), expr("x <= 1"), expr("z < 0")]]
+    assert [atoms for atoms, *_ in lists] == [[expr("w = 0"), expr("x <= 1"), expr("z < 0")]]
     zero = Fraction(0)
     assert lists[0][1] == {"w": Interval(zero, zero), "x": Interval(None, one), "z": Interval(None, zero)}
 

@@ -30,7 +30,7 @@ import sys
 import reports
 
 
-def _never_refutes(atoms, box) -> bool:
+def _never_refutes(atoms, box, queue=None, watches=None) -> bool:
     return True
 
 
