@@ -40,6 +40,7 @@ from .engine import (
 )
 from .formatter import format_expr
 from .model import (
+    And,
     Assertion,
     BoolLit,
     CompositionOperator,
@@ -170,7 +171,7 @@ def compose_contracts(
     if isinstance(conj_a, BoolLit) and conj_a.value:
         assumption = TRUE
     else:
-        assumption_body = simplify_bools(conj([phi] + children_sat + [Not(conj_a)]))
+        assumption_body = simplify_bools(And(guarantee_body, Not(conj_a)))
         projections.append(_project_exists(assumption_body, child_vars, opts.dnf_cap))
         assumption = simplify_bools(Not(projections[-1]))
 

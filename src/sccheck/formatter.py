@@ -3,7 +3,8 @@
 format_spec is the inverse of parsing up to locations: re-parsing the
 output yields a structurally equal document, and formatting is a fixpoint
 on its own output. Expressions are printed with the fewest parentheses
-the declared precedence allows.
+the precedence allows, read from the parser's operator table, so parsing
+and printing share one set of binding levels.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from .model import (
     Var,
 )
 from .parser import (
+    ATOM,
+    MUL,
+    NEG,
+    NOT,
+    OPERATORS,
     ComponentDecl,
     ContractDecl,
     OperatorDecl,
@@ -30,72 +36,39 @@ from .parser import (
     SpecDocument,
 )
 
-# precedence levels, loosest first
-_IMPLIES, _OR, _AND, _NOT, _CMP, _ADD, _MUL, _NEG, _ATOM = range(1, 10)
+_CONNECTIVES = {And: "and", Or: "or", Implies: "implies"}
 
 
-def _level(node) -> int:
-    match node:
-        case Implies():
-            return _IMPLIES
-        case Or():
-            return _OR
-        case And():
-            return _AND
-        case Not():
-            return _NOT
-        case Cmp():
-            return _CMP
-        case BinOp(op=op):
-            return _ADD if op in ("+", "-") else _MUL
-        case Neg():
-            return _NEG
-        case Const(value=v):
-            # an exact value prints as n or p/q, which reads back at division level
-            return _ATOM if v.denominator == 1 else _MUL
-        case _:
-            return _ATOM
-
-
-def format_expr(node, parent_level: int = 0, right_of_same: bool = False) -> str:
-    """Render a term or assertion.
-
-    `right_of_same` marks the right operand of a left-associative operator
-    at equal precedence, which needs parentheses to re-parse identically.
-    """
-    lvl = _level(node)
-    need_parens = lvl < parent_level or (lvl == parent_level and right_of_same)
-
+def format_expr(node, level: int = 0) -> str:
+    """Render a term or assertion, in parentheses if it binds looser than
+    `level`."""
     match node:
         case BoolLit(value=v):
-            s = "true" if v else "false"
+            own, s = ATOM, "true" if v else "false"
         case Const(value=v):
-            s = str(v)
+            # an exact value prints as n or p/q, which reads back at division level
+            own, s = ATOM if v.denominator == 1 else MUL, str(v)
         case Var(name=n):
-            s = n
+            own, s = ATOM, n
         case Neg(operand=t):
-            s = "-" + format_expr(t, _NEG)
-        case BinOp(op=op, left=l, right=r):
-            s = f"{format_expr(l, lvl)} {op} {format_expr(r, lvl, right_of_same=True)}"
-        case Cmp(op=op, left=l, right=r):
-            s = f"{format_expr(l, _ADD)} {op} {format_expr(r, _ADD)}"
+            own, s = NEG, "-" + format_expr(t, NEG)
         case Not(operand=x):
-            s = "not " + format_expr(x, _NOT)
-        case And(left=l, right=r):
-            # right-associative: the left child needs parens at equal level
-            s = f"{format_expr(l, _AND, right_of_same=True)} and {format_expr(r, _AND)}"
-        case Or(left=l, right=r):
-            s = f"{format_expr(l, _OR, right_of_same=True)} or {format_expr(r, _OR)}"
-        case Implies(left=l, right=r):
-            s = f"{format_expr(l, _IMPLIES, right_of_same=True)} implies {format_expr(r, _IMPLIES)}"
+            own, s = NOT, "not " + format_expr(x, NOT)
+        case BinOp(op=op, left=l, right=r) | Cmp(op=op, left=l, right=r):
+            own, s = _infix(op, l, r)
+        case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r):
+            own, s = _infix(_CONNECTIVES[type(node)], l, r)
         case Exists(names=ns, body=b):
             # not part of the surface grammar; report rendering only
-            s = f"exists {', '.join(ns)} . {format_expr(b, _IMPLIES)}"
-            return f"({s})" if need_parens else s
+            own, s = ATOM, f"exists {', '.join(ns)} . {format_expr(b)}"
         case _:
             raise TypeError(f"cannot format: {node!r}")
+    return f"({s})" if own < level else s
 
-    return f"({s})" if need_parens else s
+
+def _infix(op: str, left, right) -> tuple[int, str]:
+    own, left_level, right_level, _ = OPERATORS[op]
+    return own, f"{format_expr(left, left_level)} {op} {format_expr(right, right_level)}"
 
 
 def _format_quantity(q: QuantityDecl) -> str:

@@ -1,11 +1,13 @@
-"""Recursive-descent parser for the `.scspec` specification language.
+"""Parser for the `.scspec` specification language.
 
 The language declares quantities, component types, composition operators
 (type signature plus glue equations), contracts, and refinement
-obligations. Parsing collects every syntax error instead of stopping at
-the first one, synchronizing on `;`, `}` and declaration keywords; a
-second pass resolves all cross-references, so declarations may appear in
-any order.
+obligations. One compiled pattern tokenizes the text. Declarations are
+parsed by recursive descent, expressions by precedence climbing over one
+operator table, `OPERATORS`, which the formatter also prints by. Parsing
+collects every syntax error instead of stopping at the first one,
+synchronizing on `;`, `}` and declaration keywords; a second pass
+resolves all cross-references, so declarations may appear in any order.
 
 Grammar summary (the full EBNF ships in docs/grammar.ebnf):
 
@@ -24,8 +26,9 @@ re-parsing is the identity on the tree.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
 from .diagnostics import Diagnostic
@@ -68,13 +71,17 @@ KEYWORDS = frozenset(
     }
 )
 
-# the grammar's IDENT and NUMBER are ASCII: str.isalpha and str.isdigit
-# would also admit letters and digits of other scripts
-_DIGITS = frozenset(string.digits)
-_LETTERS = frozenset(string.ascii_letters)
-_WORD = _LETTERS | _DIGITS | {"_"}
-_TWO_CHAR = ("<=", ">=", "!=", "->", "<:")
-_ONE_CHAR = ";:,(){}=<>+-*/."
+# One token per match, in this order of preference. IDENT and NUMBER are
+# ASCII, spelled out because \w and \d also admit other scripts; any
+# character nothing else takes is a token of its own, `bad`.
+_TOKEN = re.compile(
+    r"""(?P<space>(?:[ \t\r\n]|//[^\n]*)+)
+      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<number>[0-9]+(?:\.[0-9]+)?)
+      | (?P<punct><=|>=|!=|->|<:|[;:,(){}=<>+\-*/.])
+      | (?P<bad>.)""",
+    re.VERBOSE,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -196,63 +203,24 @@ class Token:
 def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
     tokens: list[Token] = []
     diags: list[Diagnostic] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-
-    def advance(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            advance()
+    line, line_start = 1, 0  # a column counts from the last newline
+    for m in _TOKEN.finditer(text):
+        kind, word, start = m.lastgroup, m.group(), m.start()
+        if kind == "space":
+            if "\n" in word:
+                line += word.count("\n")
+                line_start = start + word.rindex("\n") + 1
             continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        loc = Loc(line, col)
-        if c in _LETTERS:
-            j = i
-            while j < n and text[j] in _WORD:
-                j += 1
-            word = text[i:j]
-            advance(j - i)
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, loc))
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
-                j += 1
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-            lit = text[i:j]
-            advance(j - i)
-            tokens.append(Token("number", lit, loc, int(lit) if "." not in lit else rational(lit)))
-            continue
-        two = text[i : i + 2]
-        if two in _TWO_CHAR:
-            advance(2)
-            tokens.append(Token(two, two, loc))
-            continue
-        if c in _ONE_CHAR:
-            advance()
-            tokens.append(Token(c, c, loc))
-            continue
-        diags.append(Diagnostic("error", "syntax", f"unexpected character {c!r}", loc))
-        advance()
-    tokens.append(Token("eof", "", Loc(line, col)))
+        loc = Loc(line, start - line_start + 1)
+        if kind == "ident":
+            tokens.append(Token("keyword" if word in KEYWORDS else "ident", word, loc))
+        elif kind == "number":
+            tokens.append(Token("number", word, loc, rational(word) if "." in word else int(word)))
+        elif kind == "punct":
+            tokens.append(Token(word, word, loc))
+        else:
+            diags.append(Diagnostic("error", "syntax", f"unexpected character {word!r}", loc))
+    tokens.append(Token("eof", "", Loc(line, len(text) - line_start + 1)))
     return tokens, diags
 
 
@@ -261,7 +229,37 @@ def tokenize(text: str) -> tuple[list[Token], list[Diagnostic]]:
 
 _SYNC_KEYWORDS = {"quantity", "component", "operator", "contract", "refinement"}
 
-_CMP_OPS = ("<=", "<", "=", ">=", ">", "!=")
+# Binding levels, loosest first. Prefix `not` binds at NOT, unary `-` at
+# NEG, and a literal, variable or parenthesized expression is an ATOM.
+IMPLIES, OR, AND, NOT, CMP, ADD, MUL, NEG, ATOM = range(1, 10)
+
+
+def _divide(left, right, *, loc):
+    if isinstance(left, Const) and isinstance(right, Const) and right.value != 0:
+        # fold p/q literals so formatting round-trips structurally
+        return Const(quotient(left.value, right.value), loc=left.loc)
+    return BinOp("/", left, right, loc=loc)
+
+
+def _binary(level: int, nests: str, build) -> tuple:
+    """A table entry: the operator's level, the least level its left and
+    its right operand may bind at without parentheses, and its builder."""
+    return level, level + (nests != "left"), level + (nests != "right"), build
+
+
+# The one operator table: the parser climbs it and the formatter prints by
+# it. `and`, `or` and `implies` nest to the right, arithmetic to the left,
+# and a comparison does not chain.
+OPERATORS = {
+    "implies": _binary(IMPLIES, "right", Implies),
+    "or": _binary(OR, "right", Or),
+    "and": _binary(AND, "right", And),
+    **{op: _binary(CMP, "none", partial(Cmp, op)) for op in ("<=", "<", "=", ">=", ">", "!=")},
+    "+": _binary(ADD, "left", partial(BinOp, "+")),
+    "-": _binary(ADD, "left", partial(BinOp, "-")),
+    "*": _binary(MUL, "left", partial(BinOp, "*")),
+    "/": _binary(MUL, "left", _divide),
+}
 
 
 class _Recover(Exception):
@@ -303,38 +301,26 @@ class _Parser:
         )
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        if self.at(kind):
-            return self.take()
-        found = self.peek()
-        shown = found.text or found.kind
+        """Take the next token if it is a keyword `kind` or of kind `kind`
+        (punctuation, "number" or "ident", the last named `what`)."""
+        t = self.tokens[self.pos]
+        keyword = kind in KEYWORDS
+        if (t.kind == "keyword" and t.text == kind) if keyword else t.kind == kind:
+            self.pos += 1  # never the end of input
+            return t
+        what = what or kind
         self.error(
-            f"expected {what or kind!s}, found {shown!r}",
-            expected=(what or kind,),
+            f"expected {repr(what) if keyword else what}, found {t.text or t.kind!r}",
+            expected=(what,),
         )
-        raise _Recover()
-
-    def expect_keyword(self, word: str) -> Token:
-        if self.at_keyword(word):
-            return self.take()
-        found = self.peek()
-        shown = found.text or found.kind
-        self.error(f"expected {word!r}, found {shown!r}", expected=(word,))
-        raise _Recover()
-
-    def expect_ident(self, what: str) -> Token:
-        if self.at("ident"):
-            return self.take()
-        found = self.peek()
-        shown = found.text or found.kind
-        self.error(f"expected {what}, found {shown!r}", expected=(what,))
         raise _Recover()
 
     def variable(self, what: str = "variable") -> str:
         """A variable name: IDENT ["." IDENT]."""
-        name = self.expect_ident(what).text
-        if self.at("."):
-            self.take()
-            name = f"{name}.{self.expect_ident('field name').text}"
+        name = self.expect("ident", what).text
+        if self.tokens[self.pos].kind == ".":
+            self.pos += 1
+            name = f"{name}.{self.expect('ident', 'field name').text}"
         return name
 
     def sync(self) -> None:
@@ -356,117 +342,59 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
-    def _enter(self) -> None:
-        # recursion guard: malformed or adversarial nesting must surface as
-        # a diagnostic, not a stack overflow
-        self.depth += 1
-        if self.depth > _MAX_EXPR_NESTING:
-            self.depth -= 1
+    def _nested(self, level: int):
+        """The operand of `not`, `-` or `(`. Recursion guard: malformed or
+        adversarial nesting must surface as a diagnostic, not a stack
+        overflow."""
+        if self.depth >= _MAX_EXPR_NESTING:
             self.error(f"expression nesting deeper than {_MAX_EXPR_NESTING}")
             raise _Recover()
+        self.depth += 1
+        try:
+            return self.parse_expr(level)
+        finally:
+            self.depth -= 1
 
-    def parse_expr(self) -> Assertion | Term:
-        return self._implies()
-
-    def _implies(self):
-        left = self._or()
-        if self.at_keyword("implies"):
-            loc = self.take().loc
-            right = self._implies()
-            return Implies(left, right, loc=loc)
-        return left
-
-    def _or(self):
-        left = self._and()
-        if self.at_keyword("or"):
-            loc = self.take().loc
-            right = self._or()
-            return Or(left, right, loc=loc)
-        return left
-
-    def _and(self):
-        left = self._not()
-        if self.at_keyword("and"):
-            loc = self.take().loc
-            right = self._and()
-            return And(left, right, loc=loc)
-        return left
-
-    def _not(self):
-        if self.at_keyword("not"):
-            loc = self.take().loc
-            self._enter()
-            try:
-                return Not(self._not(), loc=loc)
-            finally:
-                self.depth -= 1
-        return self._comparison()
-
-    def _comparison(self):
-        left = self._additive()
-        for op in _CMP_OPS:
-            if self.at(op):
-                loc = self.take().loc
-                right = self._additive()
-                return Cmp(op, left, right, loc=loc)
-        return left
-
-    def _additive(self):
-        left = self._multiplicative()
-        while self.at("+") or self.at("-"):
-            t = self.take()
-            right = self._multiplicative()
-            left = BinOp(t.text, left, right, loc=t.loc)
-        return left
-
-    def _multiplicative(self):
-        left = self._unary()
-        while self.at("*") or self.at("/"):
-            t = self.take()
-            right = self._unary()
-            if (
-                t.text == "/"
-                and isinstance(left, Const)
-                and isinstance(right, Const)
-                and right.value != 0
-            ):
-                # fold p/q literals so formatting round-trips structurally
-                left = Const(quotient(left.value, right.value), loc=left.loc)
-            else:
-                left = BinOp(t.text, left, right, loc=t.loc)
-        return left
-
-    def _unary(self):
-        if self.at("-"):
-            loc = self.take().loc
-            self._enter()
-            try:
-                operand = self._unary()
-            finally:
-                self.depth -= 1
-            if isinstance(operand, Const):
-                return Const(-operand.value, loc=loc)
-            return Neg(operand, loc=loc)
-        return self._primary()
+    def parse_expr(self, level: int = IMPLIES) -> Assertion | Term:
+        """An expression binding at `level` or tighter, by precedence
+        climbing: `bound` is the level of the expression built so far, and
+        an operator extends it only if that is tight enough for the
+        operator's left operand. Each right operand is one recursive call.
+        Tokens are read in place: no token taken here is the end of input."""
+        t = self.tokens[self.pos]
+        if t.kind == "-":
+            self.pos += 1
+            operand = self._nested(NEG)
+            left = Const(-operand.value, loc=t.loc) if isinstance(operand, Const) else Neg(operand, loc=t.loc)
+            bound = NEG
+        elif t.kind == "keyword" and t.text == "not" and level <= NOT:
+            self.pos += 1
+            left, bound = Not(self._nested(NOT), loc=t.loc), NOT
+        else:
+            left, bound = self._primary(), ATOM
+        while True:
+            t = self.tokens[self.pos]
+            entry = OPERATORS.get(t.text)
+            if entry is None or entry[0] < level or bound < entry[1]:
+                return left
+            self.pos += 1
+            bound, _, right_level, build = entry
+            left = build(left, self.parse_expr(right_level), loc=t.loc)
 
     def _primary(self):
-        t = self.peek()
+        t = self.tokens[self.pos]
         if t.kind == "number":
-            self.take()
+            self.pos += 1
             return Const(t.value, loc=t.loc)
         if t.kind == "ident":
             return Var(self.variable(), loc=t.loc)
         if t.kind == "keyword" and t.text in ("true", "false"):
-            self.take()
+            self.pos += 1
             return BoolLit(t.text == "true", loc=t.loc)
         if t.kind == "(":
-            self.take()
-            self._enter()
-            try:
-                inner = self.parse_expr()
-            finally:
-                self.depth -= 1
-            self.expect(")", ")")
+            self.pos += 1
+            inner = self._nested(IMPLIES)
+            self.expect(")")
             return inner
         shown = t.text or t.kind
         self.error(f"expected an expression, found {shown!r}", expected=("expression",))
@@ -478,12 +406,12 @@ class _Parser:
         if self.at("-"):
             self.take()
             negative = True
-        num = self.expect("number", "number")
+        num = self.expect("number")
         value = num.value
         assert value is not None
         if self.at("/"):
             self.take()
-            den = self.expect("number", "number")
+            den = self.expect("number")
             if den.value == 0:
                 self.error("zero denominator in rational literal", loc=den.loc)
                 raise _Recover()
@@ -526,127 +454,127 @@ class _Parser:
         )
 
     def _quantity(self) -> QuantityDecl:
-        kw = self.expect_keyword("quantity")
-        name = self.expect_ident("quantity name")
+        kw = self.expect("quantity")
+        name = self.expect("ident", "quantity name")
         if self.at("<:"):
             self.take()
-            parent = self.expect_ident("parent quantity")
-            self.expect(";", ";")
+            parent = self.expect("ident", "parent quantity")
+            self.expect(";")
             return QuantityDecl(name.text, "sub", parent=Ref(parent.text, parent.loc), loc=kw.loc)
         if self.at("="):
             self.take()
-            first = self.expect_ident("quantity name")
+            first = self.expect("ident", "quantity name")
             monomial: list[tuple[Ref, int]] = [(Ref(first.text, first.loc), 1)]
             while self.at("*") or self.at("/"):
                 sign = 1 if self.take().text == "*" else -1
-                nxt = self.expect_ident("quantity name")
+                nxt = self.expect("ident", "quantity name")
                 monomial.append((Ref(nxt.text, nxt.loc), sign))
-            self.expect(";", ";")
+            self.expect(";")
             return QuantityDecl(name.text, "derived", monomial=tuple(monomial), loc=kw.loc)
-        self.expect(";", ";")
+        self.expect(";")
         return QuantityDecl(name.text, "base", loc=kw.loc)
 
     def _component(self) -> ComponentDecl:
-        kw = self.expect_keyword("component")
-        name = self.expect_ident("component type name")
+        kw = self.expect("component")
+        name = self.expect("ident", "component type name")
         supertype = None
         if self.at("<:"):
             self.take()
-            sup = self.expect_ident("supertype name")
+            sup = self.expect("ident", "supertype name")
             supertype = Ref(sup.text, sup.loc)
-        self.expect("{", "{")
+        self.expect("{")
         fields: list[FieldSyntax] = []
         while not self.at("}") and not self.at("eof"):
-            fld = self.expect_ident("field name")
-            self.expect(":", ":")
-            qty = self.expect_ident("quantity name")
-            self.expect(";", ";")
+            fld = self.expect("ident", "field name")
+            self.expect(":")
+            qty = self.expect("ident", "quantity name")
+            self.expect(";")
             fields.append(FieldSyntax(fld.text, Ref(qty.text, qty.loc), loc=fld.loc))
-        self.expect("}", "}")
+        self.expect("}")
         return ComponentDecl(name.text, supertype, tuple(fields), loc=kw.loc)
 
     def _operator(self) -> OperatorDecl:
-        kw = self.expect_keyword("operator")
-        name = self.expect_ident("operator name")
-        self.expect("(", "(")
+        kw = self.expect("operator")
+        name = self.expect("ident", "operator name")
+        self.expect("(")
         params: list[ParamSyntax] = []
         while True:
-            binding = self.expect_ident("parameter binding")
-            self.expect(":", ":")
-            ptype = self.expect_ident("component type name")
+            binding = self.expect("ident", "parameter binding")
+            self.expect(":")
+            ptype = self.expect("ident", "component type name")
             params.append(ParamSyntax(binding.text, Ref(ptype.text, ptype.loc), loc=binding.loc))
             if self.at(","):
                 self.take()
                 continue
             break
-        self.expect(")", ")")
-        self.expect("->", "->")
-        result = self.expect_ident("result component type")
-        self.expect("{", "{")
+        self.expect(")")
+        self.expect("->")
+        result = self.expect("ident", "result component type")
+        self.expect("{")
         glue: list[Assertion] = []
         while not self.at("}") and not self.at("eof"):
             expr = self.parse_expr()
-            self.expect(";", ";")
+            self.expect(";")
             glue.append(expr)  # equation shape enforced by the sort check
-        self.expect("}", "}")
+        self.expect("}")
         return OperatorDecl(
             name.text, tuple(params), Ref(result.text, result.loc), tuple(glue), loc=kw.loc
         )
 
     def _contract(self) -> ContractDecl:
-        kw = self.expect_keyword("contract")
-        name = self.expect_ident("contract name")
-        self.expect(":", ":")
-        subject = self.expect_ident("component type name")
-        self.expect("{", "{")
-        self.expect_keyword("assume")
+        kw = self.expect("contract")
+        name = self.expect("ident", "contract name")
+        self.expect(":")
+        subject = self.expect("ident", "component type name")
+        self.expect("{")
+        self.expect("assume")
         assumption = self.parse_expr()
-        self.expect(";", ";")
-        self.expect_keyword("guarantee")
+        self.expect(";")
+        self.expect("guarantee")
         guarantee = self.parse_expr()
-        self.expect(";", ";")
-        self.expect("}", "}")
+        self.expect(";")
+        self.expect("}")
         return ContractDecl(
             name.text, Ref(subject.text, subject.loc), assumption, guarantee, loc=kw.loc
         )
 
     def _refinement(self) -> RefinementDecl:
-        kw = self.expect_keyword("refinement")
-        name = self.expect_ident("obligation name")
-        self.expect(":", ":")
-        self.expect_keyword("compose")
-        op = self.expect_ident("operator name")
-        self.expect("(", "(")
+        kw = self.expect("refinement")
+        name = self.expect("ident", "obligation name")
+        self.expect(":")
+        self.expect("compose")
+        op = self.expect("ident", "operator name")
+        self.expect("(")
         bindings: list[BindingSyntax] = []
         while True:
-            contract = self.expect_ident("contract name")
-            self.expect_keyword("as")
-            binding = self.expect_ident("binding name")
+            contract = self.expect("ident", "contract name")
+            self.expect("as")
+            binding = self.expect("ident", "binding name")
             bindings.append(BindingSyntax(Ref(contract.text, contract.loc), binding.text, loc=contract.loc))
             if self.at(","):
                 self.take()
                 continue
             break
-        self.expect(")", ")")
-        self.expect("<:", "<:")
-        abstract = self.expect_ident("abstract contract name")
+        self.expect(")")
+        self.expect("<:")
+        abstract = self.expect("ident", "abstract contract name")
         grid = None
         if self.at("{"):
             self.take()
             lines: list[tuple[str, tuple[Rational, ...]]] = []
             while not self.at("}") and not self.at("eof"):
                 var = self.variable("grid variable")
-                self.expect("=", "=")
+                self.expect("=")
                 values = [self.parse_rational()]
                 while self.at(","):
                     self.take()
                     values.append(self.parse_rational())
-                self.expect(";", ";")
+                self.expect(";")
                 lines.append((var, tuple(values)))
-            self.expect("}", "}")
+            self.expect("}")
             grid = tuple(lines)
         else:
-            self.expect(";", ";")
+            self.expect(";")
         return RefinementDecl(
             name.text,
             Ref(op.text, op.loc),

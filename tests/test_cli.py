@@ -12,6 +12,7 @@ from sccheck.cli import (
     main,
     parse_box_flag,
     parse_grid_flag,
+    render_text,
     run_check,
 )
 from sccheck.engine import EngineOptions, Status, Verdict
@@ -187,6 +188,14 @@ def test_oracle_interprets_each_composed_contract_once(monkeypatch):
         monkeypatch.setattr(module, "interpret_composed_finite", counted)
     run_check([CORPUS], CheckOptions(deterministic=True, oracle=True))
     assert len(calls) == 3  # one per corpus obligation
+
+
+def test_oracle_runs_only_when_asked():
+    # the corpus obligations carry grid hints, but a hint alone runs nothing
+    _, report = run_check([CORPUS], CheckOptions(deterministic=True))
+    assert report["obligations"]
+    assert not any("oracle" in ob for ob in report["obligations"])
+    assert "oracle:" not in render_text(report)
 
 
 def _oracle_eval_terms(monkeypatch, paths):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from docgen import random_document
 from sccheck.formatter import format_expr, format_spec
 from sccheck.model import And, BinOp, Const, Implies, Not, Or
-from sccheck.parser import parse_expression, parse_spec
+from sccheck.parser import parse_expression, parse_spec, tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +54,10 @@ def test_error_recovery_reports_each_error():
     result = parse_spec(text)
     errors = [d for d in result.diagnostics if d.severity == "error" and d.code == "syntax"]
     assert len(errors) >= 3
+    # recovery stops at the declaration keyword and resumes there
+    result = parse_spec("quantity q assume true; component C { x: q; }")
+    errors = [(d.message, str(d.loc), d.expected) for d in result.diagnostics if d.code == "syntax"]
+    assert errors == [("expected ;, found 'assume'", "1:12", (";",))]
 
 
 def test_diagnostics_carry_positions():
@@ -113,11 +117,35 @@ def test_rational_literals_fold_exactly():
         ("x = ٣3", "unexpected character '٣'"),
         ("xé = 1", "unexpected character 'é'"),
         ("x = 1.٣", "unexpected character '٣'"),
+        # only true and false are keyword expressions
+        ("or", "expected an expression, found 'or'"),
+        ("x = 1 and and y = 1", "expected an expression, found 'and'"),
     ],
 )
 def test_parse_expression_rejects_bad_input(text, message):
     with pytest.raises(ValueError, match=message):
         parse_expression(text)
+
+
+def test_tokenizer_positions():
+    # a tab is one column, \r is whitespace, a comment runs to the line end,
+    # an identifier starts with a letter, and `1.` needs a digit to be a decimal
+    tokens, diags = tokenize("\tx = 1;\r\n// note\n  @ _y 1.e")
+    assert [(t.kind, t.text, str(t.loc)) for t in tokens] == [
+        ("ident", "x", "1:2"),
+        ("=", "=", "1:4"),
+        ("number", "1", "1:6"),
+        (";", ";", "1:7"),
+        ("ident", "y", "3:6"),
+        ("number", "1", "3:8"),
+        (".", ".", "3:9"),
+        ("ident", "e", "3:10"),
+        ("eof", "", "3:11"),
+    ]
+    assert [(d.message, str(d.loc)) for d in diags] == [
+        ("unexpected character '@'", "3:3"),
+        ("unexpected character '_'", "3:5"),
+    ]
 
 
 def test_comparison_does_not_chain():
@@ -202,6 +230,11 @@ def test_pathological_nesting_is_a_diagnostic_not_a_crash():
     nots = "contract K : C { assume " + "not " * 500 + "true; guarantee true; }"
     assert any("nesting" in d.message for d in parse_spec(nots).diagnostics)
     # generous headroom for real documents
-    fine = "quantity q; component C { f: q; } contract K : C { assume " + "(" * 60 + "f = 1" + ")" * 60 + "; guarantee true; }"
-    result = parse_spec(fine)
+    def nested(depth):
+        return "quantity q; component C { f: q; } contract K : C { assume " + "(" * depth + "f = 1" + ")" * depth + "; guarantee true; }"
+
+    result = parse_spec(nested(60))
     assert result.ok(), [d.render() for d in result.diagnostics]
+    # the limit is exactly 64 levels
+    assert parse_spec(nested(64)).ok()
+    assert [d.message for d in parse_spec(nested(65)).diagnostics][0] == "expression nesting deeper than 64"
