@@ -10,11 +10,15 @@ Composition builds, over parent fields and binding-qualified child fields,
 and then projects the children out: the composed guarantee is the
 existential projection of the guarantee body, the composed assumption the
 negated existential projection of the assumption body. A projection is
-exact (Fourier-Motzkin) when its body is linear: each distinct system of
-the body is projected once, each distinct projected system is kept once,
-and a system that another's constraints subsume is dropped. Otherwise the
-quantified residue is kept, downstream checks run the interval/sampling
-ladder on it, and the composition's projection reads "quantified-residue".
+exact (Fourier-Motzkin) when its body is linear. It quantifies early, as
+bucket elimination does (Dechter 1999): the body's conjuncts are met one
+DNF part at a time, and each child field is projected out right after the
+last part that mentions it, since an existential distributes over `or`
+and moves past conjuncts without its variable. Each distinct system is
+projected once per stage and kept once, and at the end a system that
+another's constraints subsume is dropped. Otherwise the quantified
+residue is kept, downstream checks run the interval/sampling ladder on
+it, and the composition's projection reads "quantified-residue".
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .engine import (
     NonlinearDisjunct,
     Status,
     Verdict,
+    _tightest,
     check_implication,
     decide_satisfiability,
     fm_project,
@@ -43,6 +48,7 @@ from .model import (
     And,
     Assertion,
     BoolLit,
+    Cmp,
     CompositionOperator,
     Contract,
     Exists,
@@ -52,6 +58,7 @@ from .model import (
     Not,
     Valuation,
     conj,
+    conjuncts,
     disj,
     eval_assertion,
     freeze_valuation,
@@ -103,22 +110,54 @@ def _as_contract(c: Union[Contract, ComposedContract]) -> Contract:
 def _project_exists(body: Assertion, elim_vars: Sequence[str], cap: int) -> Assertion:
     """The existential projection of the simplified, quantifier-free body
     along `elim_vars`: exact when it is linear, else, before any projection,
-    the residue ``Exists(elim_vars, body)``. Each distinct system of the
-    body is projected once; each distinct projected system is kept once, by
-    its constraint set, in first-seen order, and one that contains another's
-    constraints is subsumed and dropped."""
+    the residue ``Exists(elim_vars, body)``.
+
+    The projection is a fold over the DNF parts of the body's NNF: its
+    comparison conjuncts other than `!=`, normalized together, then each
+    other top-level conjunct. Single-disjunct parts go first, then the
+    branching ones, those that mention the most of `elim_vars` first, ties
+    in body order. From one empty system, each stage meets every system
+    kept with every disjunct of its part, projects out the fields that no
+    later part mentions, drops the trivially unsat systems and keeps each
+    distinct one once; each distinct meet is projected once. The cap bounds
+    each part's DNF and the systems each stage keeps. When some part holds
+    a nonlinear disjunct, the whole body's DNF is the one part, so the body
+    is a residue exactly when that DNF is not linear. Of the systems the
+    last stage keeps, one that contains another's constraints is subsumed
+    and dropped."""
     residue = Exists(tuple(elim_vars), body)
+    matrix = nnf(body)
+    comparisons: list[Assertion] = []
+    others: list[Assertion] = []
+    for part in conjuncts(matrix):
+        (comparisons if isinstance(part, Cmp) and part.op != "!=" else others).append(part)
     try:
-        dnf = normalize(nnf(body), cap)
+        dnfs = [normalize(p, cap) for p in ([conj(comparisons)] if comparisons else []) + others]
+        if any(isinstance(d, NonlinearDisjunct) for dnf in dnfs for d in dnf.disjuncts):
+            dnfs = [normalize(matrix, cap)]
     except DnfCapExceeded:
         return residue
-    if any(isinstance(d, NonlinearDisjunct) for d in dnf.disjuncts):
+    if any(isinstance(d, NonlinearDisjunct) for dnf in dnfs for d in dnf.disjuncts):
         return residue
-    systems: dict[frozenset[Constraint], LinearSystem] = {}
-    for d in dnf.disjuncts:
-        projected = fm_project(d, list(elim_vars))
-        if not projected.trivially_unsat():
-            systems.setdefault(frozenset(projected.constraints), projected)
+    elim = set(elim_vars)
+    fields = [elim.intersection(v for d in dnf.disjuncts for v in d.variables()) for dnf in dnfs]
+    order = sorted(range(len(dnfs)), key=lambda i: (1, -len(fields[i])) if len(dnfs[i].disjuncts) > 1 else (0, 0))
+    last = {v: stage for stage, i in enumerate(order) for v in fields[i]}
+    systems: dict[frozenset[Constraint], LinearSystem] = {frozenset(): LinearSystem(())}
+    for stage, i in enumerate(order):
+        meets: dict[frozenset[Constraint], LinearSystem] = {}
+        for s in systems.values():
+            for d in dnfs[i].disjuncts:
+                met = LinearSystem(_tightest(s.constraints + d.constraints))
+                meets.setdefault(frozenset(met.constraints), met)
+        drop = [v for v in elim_vars if last.get(v) == stage]
+        systems = {}
+        for met in meets.values():
+            projected = fm_project(met, drop) if drop else met
+            if not projected.trivially_unsat():
+                systems.setdefault(frozenset(projected.constraints), projected)
+        if len(systems) > cap:
+            return residue
     kept = [s for key, s in systems.items() if not any(other < key for other in systems)]
     return disj([system_to_assertion(s) for s in kept])
 

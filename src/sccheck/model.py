@@ -359,8 +359,18 @@ class _Joins:
 
 
 def conjuncts(a: Assertion) -> list[Assertion]:
-    """The conjuncts of an `And` chain, left to right."""
-    return conjuncts(a.left) + conjuncts(a.right) if isinstance(a, And) else [a]
+    """The conjuncts of an `And` chain, left to right, in one list: the
+    right operands wait on a stack while the left spine is walked, so a
+    right-folded chain takes no recursion and linear time."""
+    out: list[Assertion] = []
+    todo = [a]
+    while todo:
+        node = todo.pop()
+        while isinstance(node, And):
+            todo.append(node.right)
+            node = node.left
+        out.append(node)
+    return out
 
 
 def _eval3(a: Assertion, env: Mapping[str, Rational], joins: _Joins | None) -> bool | None:

@@ -19,19 +19,22 @@ from sccheck.algebra import (
     verify_min_characterization,
 )
 from sccheck import algebra, engine
-from sccheck.engine import Status, check_implication
+from sccheck.engine import EngineOptions, Status, check_implication
 from sccheck.formatter import format_expr
 from sccheck.loader import elaborate
 from sccheck.model import (
     And,
     BoolLit,
+    Exists,
     FALSE,
     Or,
+    disj,
     eval_assertion,
     interpret_finite,
     refines_finite,
 )
 from sccheck.parser import parse_spec
+from test_composition_soundness import OPTIONS as SOUNDNESS_OPTIONS, SEEDS as SOUNDNESS_SEEDS, random_composition
 
 C1 = contract("C1", CELL, "true", "r = 1")
 C2 = contract("C2", CELL, "true", "r = 2")
@@ -399,14 +402,88 @@ def test_six_cells_in_series_stay_exact_and_proved():
     assert check_compatibility(composed).status is Status.PROVED
 
 
+@pytest.mark.parametrize("n", [8, 10])
+def test_eight_and_ten_cells_in_series_stay_exact_and_proved(n):
+    # distributed flat, the bodies pass the 4096 cap and leave residues
+    ob, composed = _banded_obligation(n)
+    assert composed.projection == "exact"
+    assert check_refinement(composed, ob.abstract).status is Status.PROVED
+    assert check_compatibility(composed).status is Status.PROVED
+
+
+def test_the_cap_bounds_the_systems_each_stage_keeps():
+    # the largest part, `not (A_0 and A_1 and A_2)`, has 6 disjuncts, and
+    # the largest stage keeps 12 systems
+    ob, _ = _banded_obligation(3)
+    for cap, projection in ((11, "quantified-residue"), (12, "exact")):
+        assert compose_contracts(ob.operator, ob.bindings, EngineOptions(dnf_cap=cap)).projection == projection
+
+
+def _flat_projection(body, elim_vars, cap):
+    """The reference projection: the body's whole DNF, each distinct system
+    projected once, each distinct result kept once, subsumed ones dropped."""
+    residue = Exists(tuple(elim_vars), body)
+    try:
+        dnf = engine.normalize(engine.nnf(body), cap)
+    except engine.DnfCapExceeded:
+        return residue
+    if any(isinstance(d, engine.NonlinearDisjunct) for d in dnf.disjuncts):
+        return residue
+    systems = {}
+    for d in dnf.disjuncts:
+        projected = engine.fm_project(d, list(elim_vars))
+        if not projected.trivially_unsat():
+            systems.setdefault(frozenset(projected.constraints), projected)
+    kept = [s for key, s in systems.items() if not any(other < key for other in systems)]
+    return disj([engine.system_to_assertion(s) for s in kept])
+
+
+def test_projection_by_stages_is_the_flat_projection(monkeypatch, corpus_universe):
+    made = []  # (body, elim_vars, cap, projection) of every projection
+    project_exists = algebra._project_exists
+
+    def recording(body, elim_vars, cap):
+        made.append((body, elim_vars, cap, project_exists(body, elim_vars, cap)))
+        return made[-1][-1]
+
+    monkeypatch.setattr(algebra, "_project_exists", recording)
+    for n in range(2, 7):
+        _banded_obligation(n)
+    for ob in corpus_universe.obligations:
+        compose_contracts(ob.operator, ob.bindings)
+    for seed in SOUNDNESS_SEEDS:
+        universe, _ = elaborate(parse_spec(random_composition(seed)).document)
+        for ob in universe.obligations:
+            compose_contracts(ob.operator, ob.bindings, SOUNDNESS_OPTIONS)
+    monkeypatch.undo()
+    exact = 0
+    for body, elim_vars, cap, projection in made:
+        reference = _flat_projection(body, elim_vars, cap)
+        assert isinstance(projection, Exists) == isinstance(reference, Exists), format_expr(body)
+        if not isinstance(reference, Exists):
+            exact += 1
+            assert check_implication(projection, reference).status is Status.PROVED, format_expr(body)
+            assert check_implication(reference, projection).status is Status.PROVED, format_expr(body)
+    assert (exact, len(made)) == (29, 109)
+
+
 def test_composition_projects_each_distinct_system_once(monkeypatch):
-    bodies = []  # the systems projected for each body, in order
-    normalize, fm_project = algebra.normalize, algebra.fm_project
-    monkeypatch.setattr(algebra, "normalize", lambda body, cap: bodies.append([]) or normalize(body, cap))
-    monkeypatch.setattr(algebra, "fm_project", lambda system, variables: bodies[-1].append(system) or fm_project(system, variables))
-    _banded_obligation(3)
-    assert len(bodies) == 2 and all(bodies)
-    assert all(len(set(systems)) == len(systems) for systems in bodies)
+    """Each field is projected out at exactly one stage, so the variables
+    passed to `fm_project` name the stage: no (system, variables) pair may
+    repeat within a body. Projecting the flat DNF of six cells took 637
+    calls."""
+    bodies = []  # the (system, variables) pairs projected for each body, in order
+    project_exists, fm_project = algebra._project_exists, algebra.fm_project
+    monkeypatch.setattr(algebra, "_project_exists", lambda *args: bodies.append([]) or project_exists(*args))
+    monkeypatch.setattr(
+        algebra, "fm_project", lambda system, variables: bodies[-1].append((system, tuple(variables))) or fm_project(system, variables)
+    )
+    for n, projections in ((3, 88), (6, 298), (8, 498)):
+        bodies.clear()
+        _banded_obligation(n)
+        assert len(bodies) == 2 and all(bodies)
+        assert all(len(set(pairs)) == len(pairs) for pairs in bodies)
+        assert sum(map(len, bodies)) == projections
 
 
 def test_distribution_carries_each_conjunctions_box(monkeypatch):
@@ -417,7 +494,10 @@ def test_distribution_carries_each_conjunctions_box(monkeypatch):
     of every disjunct took 456 calls. Its 48 conjunctions make 38 distinct
     linear systems, each kept once."""
     bodies = []
-    monkeypatch.setattr(algebra, "normalize", lambda body, cap: bodies.append(body) or engine.normalize(body, cap))
+    project_exists = algebra._project_exists
+    monkeypatch.setattr(
+        algebra, "_project_exists", lambda body, *args: bodies.append(engine.nnf(body)) or project_exists(body, *args)
+    )
     _banded_obligation(3)
     monkeypatch.undo()
     calls = 0
