@@ -41,6 +41,7 @@ from .engine import (
     fm_project,
     nnf,
     normalize,
+    prenex_exists,
     system_to_assertion,
 )
 from .formatter import format_expr
@@ -108,11 +109,13 @@ def _as_contract(c: Union[Contract, ComposedContract]) -> Contract:
 
 
 def _project_exists(body: Assertion, elim_vars: Sequence[str], cap: int) -> Assertion:
-    """The existential projection of the simplified, quantifier-free body
-    along `elim_vars`: exact when it is linear, else, before any projection,
-    the residue ``Exists(elim_vars, body)``.
+    """The existential projection of the simplified body along `elim_vars`:
+    exact when it is linear, else, before any projection, the residue
+    ``Exists(elim_vars, body)``. The body's own existentials, those of a
+    composed child's residues, are pulled out of its NNF first, and the
+    names they bound are projected out too.
 
-    The projection is a fold over the DNF parts of the body's NNF: its
+    The projection is a fold over the DNF parts of that prenex matrix: its
     comparison conjuncts other than `!=`, normalized together, then each
     other top-level conjunct. Single-disjunct parts go first, then the
     branching ones, those that mention the most of `elim_vars` first, ties
@@ -126,7 +129,8 @@ def _project_exists(body: Assertion, elim_vars: Sequence[str], cap: int) -> Asse
     last stage keeps, one that contains another's constraints is subsumed
     and dropped."""
     residue = Exists(tuple(elim_vars), body)
-    matrix = nnf(body)
+    matrix, pulled = prenex_exists(nnf(body))
+    elim_vars = [*elim_vars, *pulled]
     comparisons: list[Assertion] = []
     others: list[Assertion] = []
     for part in conjuncts(matrix):

@@ -28,7 +28,7 @@ from .algebra import (
     verify_min_characterization,
 )
 from .diagnostics import Diagnostic, has_errors
-from .engine import DEFAULT_DNF_CAP, DEFAULT_SAMPLES, EngineOptions, Interval, Status, Verdict
+from .engine import DEFAULT_DNF_CAP, DEFAULT_SAMPLES, EngineOptions, Status, Verdict
 from .loader import Obligation, Universe, elaborate
 from .model import FiniteGrid, GridIncomplete, Loc, Rational, interpret_finite, rational, refines_finite
 from .parser import merge_documents, parse_only, resolve_document
@@ -63,19 +63,6 @@ def parse_grid_flag(text: str) -> dict[str, tuple[Rational, ...]]:
         var: tuple(_parse_rational(v) for v in values.split(","))
         for var, values in _split_entries(text, "grid")
     }
-
-
-def parse_box_flag(text: str) -> dict[str, Interval]:
-    """Parse "var=[lo,hi];var2=[lo,hi]" into a sampling box."""
-    out: dict[str, Interval] = {}
-    for var, rng in _split_entries(text, "box"):
-        if not (rng.startswith("[") and rng.endswith("]") and "," in rng):
-            raise ValueError(f"bad box range: {rng!r}")
-        lo, hi = (_parse_rational(end) for end in rng[1:-1].split(",", 1))
-        if lo > hi:
-            raise ValueError(f"empty box range for {var}: {rng!r}")
-        out[var] = Interval(lo, hi)
-    return out
 
 
 def _witness_json(witness) -> dict[str, str]:
@@ -325,7 +312,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     check.add_argument("--dnf-cap", type=int, default=DEFAULT_DNF_CAP)
     check.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--box", default=None, help='sampling box, met with each disjunct\'s contracted box, e.g. "r=[0,10];u=[-5,5]"')
     check.add_argument("--format", choices=("text", "json"), default="text")
     check.add_argument("--deterministic", action="store_true", help="zero timings for byte-identical reports")
     check.add_argument("--oracle", action="store_true", help="run finite-grid cross-checks where a grid is available")
@@ -341,12 +327,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         opts = CheckOptions(
             obligations=tuple(args.obligation),
             grid=parse_grid_flag(args.grid) if args.grid else None,
-            engine=EngineOptions(
-                dnf_cap=args.dnf_cap,
-                samples=args.samples,
-                seed=args.seed,
-                box=parse_box_flag(args.box) if args.box else None,
-            ),
+            engine=EngineOptions(dnf_cap=args.dnf_cap, samples=args.samples, seed=args.seed),
             deterministic=args.deterministic,
             oracle=args.oracle,
         )

@@ -18,8 +18,7 @@ The decision ladder, in order:
    per atom. A disjunct with nothing pending costs no interval work;
 3. otherwise deterministic seeded sampling tries to find a satisfying
    valuation, evaluated exactly. It draws in the box contraction left for
-   the disjunct, met with the optional box unless the two are disjoint,
-   and never proves or refutes;
+   the disjunct, and never proves or refutes;
 4. otherwise the verdict is an honest Unknown.
 
 `decide_satisfiability` normalizes each query once, to a prenex negation
@@ -54,6 +53,7 @@ from .model import (
     UndefinedTerm,
     Valuation,
     Var,
+    children,
     compare,
     conj,
     conjuncts,
@@ -62,6 +62,7 @@ from .model import (
     eval_term,
     free_vars,
     quotient,
+    rebuild,
     rename_vars,
     satisfying_valuations,
     simplify_bools,
@@ -188,24 +189,24 @@ def interval_eval(term: Term, box: Box) -> Interval:
             return box.get(n, FULL_INTERVAL)
         case Neg(operand=t):
             return _iv_neg(interval_eval(t, box))
-        case BinOp(op=op, left=l, right=r):
-            la = interval_eval(l, box)
-            rb = interval_eval(r, box)
-            if op == "+":
-                return _iv_add(la, rb)
-            if op == "-":
-                return _iv_add(la, _iv_neg(rb))
-            if op == "*":
-                product = _iv_mul(la, rb)
-                if l == r and la.contains(0):
-                    # a square is never negative
-                    return Interval(0, product.hi)
-                return product
-            inv = _iv_inv(rb)
-            if inv == FULL_INTERVAL:
-                return inv  # sound too where la is [0, 0], and skips the product
-            return _iv_mul(la, inv)
-    raise TypeError(f"not a term: {term!r}")
+    # a BinOp
+    op, l, r = term.op, term.left, term.right
+    la = interval_eval(l, box)
+    rb = interval_eval(r, box)
+    if op == "+":
+        return _iv_add(la, rb)
+    if op == "-":
+        return _iv_add(la, _iv_neg(rb))
+    if op == "*":
+        product = _iv_mul(la, rb)
+        if l == r and la.contains(0):
+            # a square is never negative
+            return Interval(0, product.hi)
+        return product
+    inv = _iv_inv(rb)
+    if inv == FULL_INTERVAL:
+        return inv  # sound too where la is [0, 0], and skips the product
+    return _iv_mul(la, inv)
 
 
 def _intersect(a: Interval, b: Interval) -> Interval:
@@ -229,25 +230,10 @@ def _meet(a: Box, b: Box, narrowed: Optional[list[str]] = None) -> Optional[dict
     return out
 
 
-def _variables(*terms: Term) -> set[str]:
-    """The variables of some terms, without recursion."""
-    out: set[str] = set()
-    todo = list(terms)
-    while todo:
-        match todo.pop():
-            case Var(name=n):
-                out.add(n)
-            case Neg(operand=t):
-                todo.append(t)
-            case BinOp(left=l, right=r):
-                todo += (l, r)
-    return out
+Watches = dict[int, tuple[Cmp, frozenset[str]]]
 
 
-Watches = dict[int, tuple[Cmp, set[str]]]
-
-
-def _watched(atom: Cmp, watches: Watches) -> set[str]:
+def _watched(atom: Cmp, watches: Watches) -> frozenset[str]:
     """The variables whose narrowing may let a revised atom narrow or refute
     again, gathered once per `watches` dict, whose entries keep their atoms
     alive so that no id is reused while it lives. They are the atom's
@@ -258,11 +244,11 @@ def _watched(atom: Cmp, watches: Watches) -> set[str]:
     entry = watches.get(id(atom))
     if entry is None:
         sides = (atom.left, atom.right)
-        names = _variables(*sides)
+        names = free_vars(atom)
         if atom.op not in ("<", ">") and any(
-            isinstance(side, Var) and not _variables(other) for side, other in (sides, sides[::-1])
+            isinstance(side, Var) and not free_vars(other) for side, other in (sides, sides[::-1])
         ):
-            names = set()
+            names = frozenset()
         entry = watches[id(atom)] = (atom, names)
     return entry[1]
 
@@ -327,7 +313,7 @@ def _revise(
                         for name in _watched(a, watches):
                             watchers.setdefault(name, []).append(i)
                 for i in watchers.get(side.name, ()):
-                    if i not in queued and (i != index or side.name in _variables(other)):
+                    if i not in queued and (i != index or side.name in free_vars(other)):
                         queued.add(i)
                         todo.append(i)
     return True
@@ -362,22 +348,23 @@ def nnf(a: Assertion, negate: bool = False) -> Assertion:
             if negate:
                 return And(nnf(l), nnf(r, True))
             return Or(nnf(l, True), nnf(r))
-        case Exists(names=ns, body=b):
-            if negate:
-                raise UndecidableQuantifier("universal quantifier in residue")
-            return Exists(ns, nnf(b))
-    raise TypeError(f"not an assertion: {a!r}")
+    # an existential
+    if negate:
+        raise UndecidableQuantifier("universal quantifier in residue")
+    return Exists(a.names, nnf(a.body))
 
 
-def prenex_exists(a: Assertion) -> Assertion:
+def prenex_exists(a: Assertion) -> tuple[Assertion, list[str]]:
     """The matrix of an NNF formula with its existential quantifiers pulled
-    out: their variables become free.
+    out, and the names they bound, in the order met: each is free in the
+    matrix.
 
     A bound name that would collide with a name already in scope (the
     formula's free variables, gathered at the first existential) is renamed,
     each fresh name joining the names in scope before the next is chosen.
     """
     used: set[str] = set()
+    pulled: list[str] = []
     counter = itertools.count(1)
 
     def fresh(name: str) -> str:
@@ -387,25 +374,21 @@ def prenex_exists(a: Assertion) -> Assertion:
                 return candidate
 
     def walk(node: Assertion) -> Assertion:
-        match node:
-            case BoolLit() | Cmp():
-                return node
-            case And(left=l, right=r):
-                return And(walk(l), walk(r))
-            case Or(left=l, right=r):
-                return Or(walk(l), walk(r))
-            case Exists(names=ns, body=b):
-                if not used:
-                    used.update(free_vars(a))
-                mapping = {}
-                for n in ns:
-                    if n in used:
-                        mapping[n] = fresh(n)
-                    used.add(mapping.get(n, n))
-                return walk(rename_vars(b, mapping) if mapping else b)
-        raise TypeError(f"not an assertion: {node!r}")
+        if isinstance(node, Cmp):
+            return node  # an atom holds no quantifier
+        if not isinstance(node, Exists):
+            return rebuild(node, [walk(k) for k in children(node)])
+        if not used:
+            used.update(free_vars(a))
+        mapping = {}
+        for n in node.names:
+            if n in used:
+                mapping[n] = fresh(n)
+            used.add(mapping.get(n, n))
+            pulled.append(mapping.get(n, n))
+        return walk(rename_vars(node.body, mapping) if mapping else node.body)
 
-    return walk(a)
+    return walk(a), pulled
 
 
 # ---------------------------------------------------------------------------
@@ -486,33 +469,32 @@ def linearize_term(term: Term) -> Optional[tuple[dict[str, Rational], Rational]]
                 return None
             coeffs, const = lin
             return {k: -v for k, v in coeffs.items()}, -const
-        case BinOp(op=op, left=l, right=r):
-            ll = linearize_term(l)
-            rr = linearize_term(r)
-            if ll is None or rr is None:
-                return None
-            (lc, lk), (rc, rk) = ll, rr
-            if op == "+":
-                out = dict(lc)
-                for k, v in rc.items():
-                    out[k] = out.get(k, 0) + v
-                return out, lk + rk
-            if op == "-":
-                out = dict(lc)
-                for k, v in rc.items():
-                    out[k] = out.get(k, 0) - v
-                return out, lk - rk
-            if op == "*":
-                if not lc:
-                    return {k: lk * v for k, v in rc.items()}, lk * rk
-                if not rc:
-                    return {k: rk * v for k, v in lc.items()}, rk * lk
-                return None  # product of variables
-            if op == "/":
-                if rc or rk == 0:
-                    return None  # variable or zero denominator
-                return {k: quotient(v, rk) for k, v in lc.items()}, quotient(lk, rk)
-    raise TypeError(f"not a term: {term!r}")
+    # a BinOp
+    op = term.op
+    ll = linearize_term(term.left)
+    rr = linearize_term(term.right)
+    if ll is None or rr is None:
+        return None
+    (lc, lk), (rc, rk) = ll, rr
+    if op == "+":
+        out = dict(lc)
+        for k, v in rc.items():
+            out[k] = out.get(k, 0) + v
+        return out, lk + rk
+    if op == "-":
+        out = dict(lc)
+        for k, v in rc.items():
+            out[k] = out.get(k, 0) - v
+        return out, lk - rk
+    if op == "*":
+        if not lc:
+            return {k: lk * v for k, v in rc.items()}, lk * rk
+        if not rc:
+            return {k: rk * v for k, v in lc.items()}, rk * lk
+        return None  # product of variables
+    if rc or rk == 0:
+        return None  # variable or zero denominator
+    return {k: quotient(v, rk) for k, v in lc.items()}, quotient(lk, rk)
 
 
 def _linearize_atom(atom: Cmp) -> Optional[list[Constraint] | bool]:
@@ -810,7 +792,6 @@ class EngineOptions:
     dnf_cap: int = DEFAULT_DNF_CAP
     samples: int = DEFAULT_SAMPLES
     seed: int = 0
-    box: Optional[Mapping[str, Interval]] = None  # met with each disjunct's contracted box; never proves or refutes
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +865,7 @@ def sample_falsify(
     whose one side is a bare variable are propagated before random draws so
     exact targets (e.g. r = 2/3) are reachable. Every drawn value lies in
     `box`: the ladder passes the box interval contraction left for the
-    disjunct, met with `EngineOptions.box` unless the two are disjoint.
+    disjunct.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -956,7 +937,7 @@ def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOption
     """Run the ladder on a single satisfiability query, normalized here once
     to the prenex NNF matrix that every rung reads."""
     try:
-        matrix = prenex_exists(nnf(simplify_bools(formula)))
+        matrix, _ = prenex_exists(nnf(simplify_bools(formula)))
     except UndecidableQuantifier:
         return SatResult("unknown", reason="universally quantified residue")
 
@@ -986,8 +967,7 @@ def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOption
 
     per_budget = max(1, opts.samples // len(pool))
     for idx, (candidate, carried) in enumerate(pool):
-        # an empty meet leaves no model in opts.box: draw where the models are
-        witness = sample_falsify(candidate, _meet(opts.box or {}, carried) or carried, per_budget, opts.seed + idx)
+        witness = sample_falsify(candidate, carried, per_budget, opts.seed + idx)
         if witness is not None:
             full = complete(witness)
             if eval_assertion(matrix, full):
@@ -997,16 +977,18 @@ def decide_satisfiability(formula: Assertion, opts: EngineOptions = EngineOption
 
 def _denominators(node: Assertion | Term) -> list[Term]:
     """The denominators in a term, or in a formula's atoms outside its
-    existentials, except nonzero constants."""
-    match node:
-        case BinOp(op="/", left=l, right=r):
-            nonzero = isinstance(r, Const) and r.value != 0
-            return _denominators(l) + _denominators(r) + ([] if nonzero else [r])
-        case BinOp() | Cmp() | And() | Or() | Implies():
-            return _denominators(node.left) + _denominators(node.right)
-        case Neg(operand=x) | Not(operand=x):
-            return _denominators(x)
-    return []
+    existentials, except nonzero constants, each after those inside it."""
+    out: list[Term] = []
+    todo = [node]
+    while todo:  # each node before its children, right to left: the reverse of the order wanted
+        node = todo.pop()
+        if type(node) is Exists:
+            continue
+        if type(node) is BinOp and node.op == "/" and not (type(node.right) is Const and node.right.value != 0):
+            out.append(node.right)
+        todo += children(node)
+    out.reverse()
+    return out
 
 
 def _fails(psi: Assertion) -> Assertion:
@@ -1018,14 +1000,11 @@ def _fails(psi: Assertion) -> Assertion:
         return Not(psi)
 
     def widen(a: Assertion) -> Assertion:
-        match a:
-            case Cmp():
-                return disj([a] + [Cmp("=", d, Const(0)) for d in _denominators(a)])
-            case And(left=l, right=r):
-                return And(widen(l), widen(r))
-            case Or(left=l, right=r):
-                return Or(widen(l), widen(r))
-        return a
+        if isinstance(a, Cmp):
+            return disj([a] + [Cmp("=", d, Const(0)) for d in _denominators(a)])
+        if isinstance(a, Exists):
+            return a
+        return rebuild(a, [widen(k) for k in children(a)])
 
     return widen(nnf(Not(psi)))
 

@@ -61,8 +61,6 @@ def format_expr(node, level: int = 0) -> str:
         case Exists(names=ns, body=b):
             # not part of the surface grammar; report rendering only
             own, s = ATOM, f"exists {', '.join(ns)} . {format_expr(b)}"
-        case _:
-            raise TypeError(f"cannot format: {node!r}")
     return f"({s})" if own < level else s
 
 

@@ -27,8 +27,9 @@ valuation; only the work differs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import attrgetter, is_
 from typing import Callable, Iterator, Mapping, Sequence, Union
 
 
@@ -172,6 +173,65 @@ TRUE = BoolLit(True)
 FALSE = BoolLit(False)
 
 
+# ---------------------------------------------------------------------------
+# the node protocol
+
+CHILD_FIELDS: dict[type[_Node], tuple[str, ...]] = {
+    Const: (),
+    Var: (),
+    BoolLit: (),
+    Neg: ("operand",),
+    Not: ("operand",),
+    BinOp: ("left", "right"),
+    Cmp: ("left", "right"),
+    And: ("left", "right"),
+    Or: ("left", "right"),
+    Implies: ("left", "right"),
+    Exists: ("body",),
+}
+"""The one place that knows a node's children: each node type's child
+fields, in order. Its other fields but the location are labels, and come
+before the children in its constructor."""
+
+
+def _getter(kids: tuple[str, ...]) -> Callable[[_Node], tuple]:
+    """A function from a node to the tuple of its fields `kids`."""
+    if len(kids) > 1:
+        return attrgetter(*kids)
+    if kids:
+        one = attrgetter(*kids)
+        return lambda node: (one(node),)
+    return lambda node: ()
+
+
+def _maker(cls: type[_Node], kids: tuple[str, ...]) -> Callable[[_Node, Sequence], _Node]:
+    """A function from a node of `cls` and new children to the new node."""
+    labels = [f.name for f in fields(cls) if f.name != "loc" and f.name not in kids]
+    if not labels:
+        return lambda node, new: cls(*new, loc=node.loc)
+    (label,) = labels  # no node type has two
+    get = attrgetter(label)
+    return lambda node, new: cls(get(node), *new, loc=node.loc)
+
+
+_CHILDREN = {cls: _getter(kids) for cls, kids in CHILD_FIELDS.items()}
+_MAKERS = {cls: _maker(cls, kids) for cls, kids in CHILD_FIELDS.items()}
+
+
+def children(node: _Node) -> tuple:
+    """A node's children, in the order of `CHILD_FIELDS`."""
+    return _CHILDREN[type(node)](node)
+
+
+def rebuild(node: _Node, kids: Sequence) -> _Node:
+    """The node over other children, given in the order of `children`: the
+    node itself when each is the child it replaces, else a new node with
+    the same labels and location."""
+    if all(map(is_, kids, _CHILDREN[type(node)](node))):
+        return node
+    return _MAKERS[type(node)](node, kids)
+
+
 def conj(parts: Sequence[Assertion]) -> Assertion:
     """Right-folded conjunction; empty list is true."""
     if not parts:
@@ -193,47 +253,42 @@ def disj(parts: Sequence[Assertion]) -> Assertion:
 
 
 def free_vars(node: Term | Assertion) -> frozenset[str]:
-    match node:
-        case Const() | BoolLit():
-            return frozenset()
-        case Var(name=n):
-            return frozenset((n,))
-        case Neg(operand=t) | Not(operand=t):
-            return free_vars(t)
-        case BinOp(left=l, right=r) | Cmp(left=l, right=r):
-            return free_vars(l) | free_vars(r)
-        case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r):
-            return free_vars(l) | free_vars(r)
-        case Exists(names=ns, body=b):
-            return free_vars(b) - frozenset(ns)
-    raise TypeError(f"not a term or assertion: {node!r}")
+    """The variables of a term or formula that no quantifier binds, gathered
+    without recursion except into a quantifier's body."""
+    out: set[str] = set()
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Var:
+            out.add(node.name)
+        elif kind is Exists:
+            out.update(free_vars(node.body).difference(node.names))
+        else:
+            todo += _CHILDREN[kind](node)
+    return frozenset(out)
 
 
 def rename_vars(node, mapping: Mapping[str, str]):
-    """Rename free variables; quantifier-bound names shadow the mapping."""
-    match node:
-        case Const() | BoolLit():
-            return node
-        case Var(name=n):
-            return Var(mapping.get(n, n), loc=node.loc) if n in mapping else node
-        case Neg(operand=t):
-            return Neg(rename_vars(t, mapping), loc=node.loc)
-        case Not(operand=t):
-            return Not(rename_vars(t, mapping), loc=node.loc)
-        case BinOp(op=op, left=l, right=r):
-            return BinOp(op, rename_vars(l, mapping), rename_vars(r, mapping), loc=node.loc)
-        case Cmp(op=op, left=l, right=r):
-            return Cmp(op, rename_vars(l, mapping), rename_vars(r, mapping), loc=node.loc)
-        case And(left=l, right=r):
-            return And(rename_vars(l, mapping), rename_vars(r, mapping), loc=node.loc)
-        case Or(left=l, right=r):
-            return Or(rename_vars(l, mapping), rename_vars(r, mapping), loc=node.loc)
-        case Implies(left=l, right=r):
-            return Implies(rename_vars(l, mapping), rename_vars(r, mapping), loc=node.loc)
-        case Exists(names=ns, body=b):
-            inner = {k: v for k, v in mapping.items() if k not in ns}
-            return Exists(ns, rename_vars(b, inner), loc=node.loc)
-    raise TypeError(f"not a term or assertion: {node!r}")
+    """Rename free variables by `mapping`. A quantifier's bound names shadow
+    it, and a bound name that would capture a renamed variable is renamed
+    first, to the first `name~k` neither free in the body, bound beside it
+    nor a target of the mapping."""
+    if type(node) is Var:
+        return Var(mapping[node.name], loc=node.loc) if node.name in mapping else node
+    if type(node) is not Exists:
+        kids = children(node)
+        return rebuild(node, [rename_vars(k, mapping) for k in kids]) if kids else node
+    free = free_vars(node.body)
+    inner = {k: v for k, v in mapping.items() if k in free and k not in node.names}
+    targets = set(inner.values())
+    taken = {*free, *targets, *node.names}
+    for n in node.names:
+        if n in targets:
+            inner[n] = next(c for c in (f"{n}~{k}" for k in itertools.count(1)) if c not in taken)
+            taken.add(inner[n])
+    names = tuple(inner.get(n, n) for n in node.names)
+    return Exists(names, rename_vars(node.body, inner), loc=node.loc)
 
 
 def qualify(node, prefix: str):
@@ -273,12 +328,11 @@ def simplify_bools(a: Assertion) -> Assertion:
             if isinstance(sr, BoolLit) and sr.value:
                 return TRUE
             return Implies(sl, sr, loc=a.loc)
-        case Exists(names=ns, body=b):
-            sb = simplify_bools(b)
-            if isinstance(sb, BoolLit):
-                return sb
-            return Exists(ns, sb, loc=a.loc)
-    raise TypeError(f"not an assertion: {a!r}")
+    # an existential
+    sb = simplify_bools(a.body)
+    if isinstance(sb, BoolLit):
+        return sb
+    return Exists(a.names, sb, loc=a.loc)
 
 
 # ---------------------------------------------------------------------------
@@ -295,20 +349,19 @@ def eval_term(term: Term, env: Mapping[str, Rational]) -> Rational:
                 raise UnboundVariable(n) from None
         case Neg(operand=t):
             return -eval_term(t, env)
-        case BinOp(op=op, left=l, right=r):
-            a = eval_term(l, env)
-            b = eval_term(r, env)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if b == 0:
-                    raise UndefinedTerm("division by zero")
-                return quotient(a, b)
-    raise TypeError(f"not a term: {term!r}")
+    # a BinOp
+    op = term.op
+    a = eval_term(term.left, env)
+    b = eval_term(term.right, env)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if b == 0:
+        raise UndefinedTerm("division by zero")
+    return quotient(a, b)
 
 
 def compare(op: str, a: Rational, b: Rational) -> bool:
@@ -421,16 +474,15 @@ def _eval3(a: Assertion, env: Mapping[str, Rational], joins: _Joins | None) -> b
             if rv is True:
                 return True
             return None if lv is None or rv is None else False
-        case Exists():
-            if joins is None:
-                raise ModelError("quantifier in plain evaluation")
-            survivors, rest = joins.join(a)
-            for values in survivors:
-                inner = {**env, **values}
-                if all(_eval3(c, inner, joins) is True for c in rest):
-                    return True
-            return False
-    raise TypeError(f"not an assertion: {a!r}")
+    # an existential
+    if joins is None:
+        raise ModelError("quantifier in plain evaluation")
+    survivors, rest = joins.join(a)
+    for values in survivors:
+        inner = {**env, **values}
+        if all(_eval3(c, inner, joins) is True for c in rest):
+            return True
+    return False
 
 
 def eval_assertion(

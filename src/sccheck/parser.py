@@ -47,6 +47,7 @@ from .model import (
     Rational,
     Term,
     Var,
+    children,
     quotient,
     rational,
 )
@@ -606,22 +607,10 @@ def check_sorts(expr, expected: str, diags: list[Diagnostic], where: str) -> Non
             )
         )
         return
-    match expr:
-        case BoolLit() | Var() | Const():
-            return
-        case Neg(operand=t):
-            check_sorts(t, "arith", diags, where)
-        case BinOp(left=l, right=r):
-            check_sorts(l, "arith", diags, where)
-            check_sorts(r, "arith", diags, where)
-        case Cmp(left=l, right=r):
-            check_sorts(l, "arith", diags, where)
-            check_sorts(r, "arith", diags, where)
-        case Not(operand=x):
-            check_sorts(x, "bool", diags, where)
-        case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r):
-            check_sorts(l, "bool", diags, where)
-            check_sorts(r, "bool", diags, where)
+    # a comparison relates two terms; every other node's children are of its own sort
+    inner = "arith" if isinstance(expr, Cmp) else expected
+    for child in children(expr):
+        check_sorts(child, inner, diags, where)
 
 
 # ---------------------------------------------------------------------------

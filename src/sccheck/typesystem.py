@@ -16,23 +16,18 @@ from typing import Mapping, Sequence
 from .diagnostics import Diagnostic
 from .model import (
     Assertion,
-    BinOp,
-    BoolLit,
     Cmp,
     ComponentType,
     CompositionOperator,
     Const,
     Dimension,
     DIMENSIONLESS,
-    Implies,
     Loc,
     Neg,
-    Not,
-    And,
-    Or,
     Quantity,
     Term,
     Var,
+    children,
     dim_div,
     dim_mul,
     dim_str,
@@ -161,31 +156,31 @@ def _dim(term: Term, scope: Scope, table: QuantityTable) -> Dimension | None:
             return table.dimension_of_quantity(scope[n])
         case Neg(operand=t):
             return _dim(t, scope, table)
-        case BinOp(op=op, left=l, right=r):
-            dl = _dim(l, scope, table)
-            dr = _dim(r, scope, table)
-            if op in ("+", "-"):
-                if dl is None:
-                    return dr
-                if dr is None:
-                    return dl
-                if dl != dr:
-                    message = f"dimension mismatch: {dim_str(dl)} vs {dim_str(dr)}"
-                    raise TypeSystemError("dimension-mismatch", message, term.loc)
-                return dl
-            if op == "*":
-                if dl is None:
-                    return dr
-                if dr is None:
-                    return dl
-                return dim_mul(dl, dr)
-            # division: a constant divisor preserves, a constant dividend inverts
-            if dr is None:
-                return dl
-            if dl is None:
-                return dim_div(DIMENSIONLESS, dr)
-            return dim_div(dl, dr)
-    raise TypeError(f"not a term: {term!r}")
+    # a BinOp
+    op = term.op
+    dl = _dim(term.left, scope, table)
+    dr = _dim(term.right, scope, table)
+    if op in ("+", "-"):
+        if dl is None:
+            return dr
+        if dr is None:
+            return dl
+        if dl != dr:
+            message = f"dimension mismatch: {dim_str(dl)} vs {dim_str(dr)}"
+            raise TypeSystemError("dimension-mismatch", message, term.loc)
+        return dl
+    if op == "*":
+        if dl is None:
+            return dr
+        if dr is None:
+            return dl
+        return dim_mul(dl, dr)
+    # division: a constant divisor preserves, a constant dividend inverts
+    if dr is None:
+        return dl
+    if dl is None:
+        return dim_div(DIMENSIONLESS, dr)
+    return dim_div(dl, dr)
 
 
 def dimension_of(term: Term, scope: Scope | ComponentType, table: QuantityTable) -> Dimension:
@@ -217,34 +212,27 @@ def check_assertion_dimensions(a: Assertion, scope: Scope, table: QuantityTable)
         return _FAILED
 
     def walk(node: Assertion) -> None:
-        match node:
-            case BoolLit():
-                return
-            case Cmp(left=l, right=r):
-                dl = term_dim(l)
-                dr = term_dim(r)
-                if (
-                    dl is not _FAILED
-                    and dr is not _FAILED
-                    and dl is not None
-                    and dr is not None
-                    and dl != dr
-                ):
-                    diags.append(
-                        Diagnostic(
-                            "error",
-                            "dimension-mismatch",
-                            f"dimension mismatch: {dim_str(dl)} vs {dim_str(dr)}",
-                            node.loc,
-                        )
-                    )
-            case Not(operand=x):
-                walk(x)
-            case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r):
-                walk(l)
-                walk(r)
-            case _:
-                raise TypeError(f"unexpected assertion node: {node!r}")
+        if not isinstance(node, Cmp):
+            for child in children(node):
+                walk(child)
+            return
+        dl = term_dim(node.left)
+        dr = term_dim(node.right)
+        if (
+            dl is not _FAILED
+            and dr is not _FAILED
+            and dl is not None
+            and dr is not None
+            and dl != dr
+        ):
+            diags.append(
+                Diagnostic(
+                    "error",
+                    "dimension-mismatch",
+                    f"dimension mismatch: {dim_str(dl)} vs {dim_str(dr)}",
+                    node.loc,
+                )
+            )
 
     walk(a)
     return diags
@@ -366,25 +354,18 @@ def check_operator_glue(op: CompositionOperator, table: QuantityTable) -> list[D
     bindings = {binding for binding, _ in op.parameters}
 
     def check_vars(node) -> None:
-        match node:
-            case Var(name=n):
-                if n in scope:
-                    return
-                if "." in n:
-                    prefix = n.split(".", 1)[0]
-                    if prefix not in bindings:
-                        diags.append(
-                            Diagnostic("error", "unknown-binding", f"unknown parameter binding: {prefix}", node.loc)
-                        )
-                        return
-                diags.append(Diagnostic("error", "unknown-field", f"unknown field: {n}", node.loc))
-            case Const() | BoolLit():
+        for child in children(node):
+            check_vars(child)
+        if not isinstance(node, Var) or node.name in scope:
+            return
+        if "." in node.name:
+            prefix = node.name.split(".", 1)[0]
+            if prefix not in bindings:
+                diags.append(
+                    Diagnostic("error", "unknown-binding", f"unknown parameter binding: {prefix}", node.loc)
+                )
                 return
-            case Neg(operand=t):
-                check_vars(t)
-            case BinOp(left=l, right=r) | Cmp(left=l, right=r):
-                check_vars(l)
-                check_vars(r)
+        diags.append(Diagnostic("error", "unknown-field", f"unknown field: {node.name}", node.loc))
 
     for i, eq in enumerate(op.glue):
         if not (isinstance(eq, Cmp) and eq.op == "="):

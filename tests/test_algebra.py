@@ -349,6 +349,28 @@ def test_exact_projection_mentions_only_parent_fields(corpus_universe):
     assert free_vars(composed.contract.assumption) <= parent
 
 
+def _parallel_then_series(corpus_universe):
+    """series(parallel(R1, R2) as c1, R1 as c2): r = 2/3 + 1."""
+    ops = {name: corpus_universe.overloads.candidates(name)[0] for name in ("series", "parallel")}
+    r1, r2 = corpus_universe.contracts["R1"], corpus_universe.contracts["R2"]
+    inner = compose_contracts(ops["parallel"], [("c1", r1), ("c2", r2)])
+    assert inner.projection == "quantified-residue"
+    return compose_contracts(ops["series"], [("c1", inner.contract), ("c2", r1)])
+
+
+def test_a_composed_contract_composes_again(corpus_universe):
+    """The inner residue binds c1.r and c2.r, the names the outer
+    composition gives its own children's fields; qualifying renames the
+    one a prefix would capture, and projection pulls the inner binders out
+    and eliminates them with the outer child fields."""
+    nested = _parallel_then_series(corpus_universe)
+    resistor = nested.contract.subject
+    assert check_refinement(nested, contract("A", resistor, "true", "r = 5/3")).status is Status.PROVED
+    verdict = check_refinement(nested, contract("B", resistor, "true", "r = 2"))
+    assert verdict.status is Status.FALSIFIED and verdict.side == "implementation"
+    assert verdict.witness["r"] == Fraction(5, 3)
+
+
 def test_universal_residue_yields_honest_unknown():
     # nonlinear glue plus a nontrivial child assumption puts a universal
     # quantifier in the composed assumption; deciding it is out of scope

@@ -10,7 +10,6 @@ from sccheck.cli import (
     CheckOptions,
     exit_code_for,
     main,
-    parse_box_flag,
     parse_grid_flag,
     render_text,
     run_check,
@@ -57,25 +56,18 @@ def test_parse_grid_flag():
     assert str(parsed["u"][0]) == "-1"
 
 
-def test_parse_box_flag():
-    parsed = parse_box_flag("r=[0,10];u=[-5,5]")
-    assert str(parsed["r"].lo) == "0" and str(parsed["r"].hi) == "10"
-    assert str(parsed["u"].lo) == "-5"
-
-
 @pytest.mark.parametrize(
     "flags",
     [
         ["--grid", "r=x"],
         ["--grid", "r=1/0"],
-        ["--box", "r=[1]"],
         ["--samples", "0", "--dnf-cap", "0"],
-        ["--box", "r=[2,1]"],
         ["--dnf-cap", "-5"],
         ["--grid", "r"],
         ["--grid", "r=1;r=2"],
-        ["--box", "r=[0,1];r=[2,3]"],
     ],
+    # each row keeps the id it had beside the rows of the removed --box flag
+    ids=[f"flags{i}" for i in (0, 1, 3, 5, 6, 7)],
 )
 def test_bad_flag_values_are_input_errors(flags, capsys):
     code = main(["check", CORPUS, *flags])

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import expr
-from sccheck.cli import parse_box_flag, parse_grid_flag
+from sccheck.cli import parse_grid_flag
 from sccheck.engine import (
     Constraint,
     FULL_INTERVAL,
@@ -122,11 +122,9 @@ def test_refinement_grid_rationals_parse_exactly():
     assert all(normal(v) for v in values)
 
 
-def test_grid_and_box_flags_and_grids_are_exact():
+def test_grid_flags_and_grids_are_exact():
     grid = parse_grid_flag("r=1,2/3,0.5,6/3")
     assert grid == {"r": (1, Fraction(2, 3), Fraction(1, 2), 2)} and all(normal(v) for v in grid["r"])
-    box = parse_box_flag("x=[-1/2,4/2]")
-    assert box == {"x": Interval(Fraction(-1, 2), 2)} and normal(box["x"].lo) and normal(box["x"].hi)
     ((_, values),) = FiniteGrid.of({"r": ["1", Fraction(4, 2), 3, "1/3"]}).entries
     assert values == (1, 2, 3, Fraction(1, 3)) and all(normal(v) for v in values)
 
