@@ -123,11 +123,12 @@ def _project_exists(body: Assertion, elim_vars: Sequence[str], cap: int) -> Asse
     kept with every disjunct of its part, projects out the fields that no
     later part mentions, drops the trivially unsat systems and keeps each
     distinct one once; each distinct meet is projected once. The cap bounds
-    each part's DNF and the systems each stage keeps. When some part holds
-    a nonlinear disjunct, the whole body's DNF is the one part, so the body
-    is a residue exactly when that DNF is not linear. Of the systems the
-    last stage keeps, one that contains another's constraints is subsumed
-    and dropped."""
+    each part's DNF and the systems each stage keeps. When a part holds a
+    nonlinear disjunct, the parts after it are not normalized and the whole
+    body's DNF is the one part, so the body is a residue exactly when that
+    DNF is not linear; a part's DNF that would pass the cap passes it in
+    the whole body's too. Of the systems the last stage keeps, one that
+    contains another's constraints is subsumed and dropped."""
     residue = Exists(tuple(elim_vars), body)
     matrix, pulled = prenex_exists(nnf(body))
     elim_vars = [*elim_vars, *pulled]
@@ -135,13 +136,16 @@ def _project_exists(body: Assertion, elim_vars: Sequence[str], cap: int) -> Asse
     others: list[Assertion] = []
     for part in conjuncts(matrix):
         (comparisons if isinstance(part, Cmp) and part.op != "!=" else others).append(part)
+    dnfs = []
     try:
-        dnfs = [normalize(p, cap) for p in ([conj(comparisons)] if comparisons else []) + others]
-        if any(isinstance(d, NonlinearDisjunct) for dnf in dnfs for d in dnf.disjuncts):
-            dnfs = [normalize(matrix, cap)]
+        for part in ([conj(comparisons)] if comparisons else []) + others:
+            dnfs.append(normalize(part, cap))
+            if any(isinstance(d, NonlinearDisjunct) for d in dnfs[-1].disjuncts):
+                dnfs = [normalize(matrix, cap)]
+                if any(isinstance(d, NonlinearDisjunct) for d in dnfs[0].disjuncts):
+                    return residue
+                break
     except DnfCapExceeded:
-        return residue
-    if any(isinstance(d, NonlinearDisjunct) for dnf in dnfs for d in dnf.disjuncts):
         return residue
     elim = set(elim_vars)
     fields = [elim.intersection(v for d in dnf.disjuncts for v in d.variables()) for dnf in dnfs]

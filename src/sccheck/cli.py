@@ -111,9 +111,8 @@ def _oracle_grid(composed: ComposedContract, hint) -> FiniteGrid:
 
 
 def _off_grid(witness, grid: FiniteGrid) -> bool:
-    """Whether some witness value is not a grid point; a ``~k`` suffix
-    marks a renamed copy of the grid variable before it."""
-    return any(value not in grid.lookup(name.split("~", 1)[0]) for name, value in witness.items())
+    """Whether some witness value is not a grid point."""
+    return any(value not in grid.lookup(name) for name, value in witness.items())
 
 
 def _run_oracle(obligation: Obligation, composed: ComposedContract, hint, refinement: Verdict) -> dict:

@@ -6,10 +6,11 @@ The decision ladder, in order:
    the DNF, each distinct linear system once. A witness is rebuilt by
    back-substitution through the systems projection kept, each variable
    picked between the bounds of the system it was eliminated from;
-   completed with zeros, it is a model of the formula. Distribution
-   carries a box for each partial conjunction and drops the ones interval
-   contraction refutes, and every linear system keeps only the tightest
-   bound per coefficient vector;
+   completed with zeros, it is a model of the formula. A variable bound by
+   an equation is eliminated through it. Distribution meets the conjuncts
+   that do not branch first, carries a box for each partial conjunction
+   and drops the ones interval contraction refutes, and every linear
+   system keeps only the tightest bound per coefficient vector;
 2. otherwise exact-rational interval contraction tries to prove each
    nonlinear disjunct empty from the bounds its own atoms imply. It is a
    worklist: it resumes from the box distribution carried for the disjunct
@@ -33,7 +34,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .model import (
     And,
@@ -540,14 +541,19 @@ def _dnf_atom_lists(a: Assertion, cap: int, watches: Optional[Watches] = None) -
     atoms, each with a box that holds all of its models and what of it is
     not yet revised against that box.
 
-    A conjunction distributes left to right, in lexicographic order. Each
-    product starts from the meet of its parts' boxes, and an empty meet
-    drops it. After each conjunct that branches, every product is revised
-    from that meet, starting from its pending atoms: the new conjunct's
-    atoms, and the earlier ones that watch a variable some meet narrowed
-    since they were last revised. The ones refuted are dropped: they are
-    empty, and so is every extension of them. The cap bounds each product
-    about to be built. `watches` caches what each atom watches, by
+    A conjunction first meets each conjunct whose DNF is one product, in
+    order, so a product's atoms start with theirs. When some conjunct
+    branches, those unit atoms are revised once before the first split, as
+    unit propagation does (Davis, Logemann & Loveland 1962), and a
+    refutation there leaves no product. The conjuncts that branch follow
+    left to right, and the products come in lexicographic order over them.
+    Each product starts from the meet of its parts' boxes, and an empty
+    meet drops it. After each conjunct that branches, every product is
+    revised from that meet, starting from its pending atoms: the new
+    conjunct's atoms, and the earlier ones that watch a variable some meet
+    narrowed since they were last revised. The ones refuted are dropped:
+    they are empty, and so is every extension of them. The cap bounds each
+    product about to be built. `watches` caches what each atom watches, by
     `_watched`.
     """
     watches = {} if watches is None else watches
@@ -564,9 +570,19 @@ def _dnf_atom_lists(a: Assertion, cap: int, watches: Optional[Watches] = None) -
                 raise DnfCapExceeded(cap)
             return out
         case And():
-            out = [([], {}, 0, ())]
+            units: list[list[Product]] = []  # the conjuncts of one product or none, met first
+            branching: list[list[Product]] = []
             for part in conjuncts(a):
                 lists = _dnf_atom_lists(part, cap, watches)
+                (branching if len(lists) > 1 else units).append(lists)
+            out = [([], {}, 0, ())]
+            for k, lists in enumerate(units + branching):
+                if k == len(units) and k and out:
+                    # unit propagation: the units met are revised once, before the first split
+                    atoms, box, _, _ = out[0]
+                    if not _revise(atoms, box, None, watches):
+                        return []
+                    out = [(atoms, box, len(atoms), ())]
                 if len(out) * len(lists) > cap:
                     raise DnfCapExceeded(cap)
                 extended: list[Product] = []
@@ -623,15 +639,17 @@ def _build_disjunct(
 def normalize(matrix: Assertion, cap: int = DEFAULT_DNF_CAP) -> Dnf:
     """DNF, with a disjunct cap, of the NNF quantifier-free formula given.
 
-    Conjunctions distribute left to right, each with a box narrowed from
-    its parts' boxes, and a partial conjunction that interval contraction
-    refutes is dropped before it is extended, so the cap counts only the
-    conjunctions kept. `!=` splits into two strict disjuncts and linear
-    equations become <= pairs; a linear disjunct keeps the tightest bound
-    per coefficient vector, and a disjunct containing a nonlinear atom is
-    kept as a NonlinearDisjunct carrying its original atoms, its box and
-    the atoms still pending against that box, for the interval rung to
-    resume from. Each distinct linear system, by constraint set, is kept
+    A conjunction meets its conjuncts of one disjunct first and contracts
+    their box once, then distributes over the others left to right, each
+    partial conjunction with a box narrowed from its parts' boxes. A
+    partial conjunction that interval contraction refutes is dropped before
+    it is extended, so the cap counts only the conjunctions kept. The order
+    of the disjuncts is the order of the conjuncts that branch. `!=` splits
+    into two strict disjuncts and linear equations become <= pairs; a
+    linear disjunct keeps the tightest bound per coefficient vector, and a
+    disjunct containing a nonlinear atom is kept as a NonlinearDisjunct
+    carrying its original atoms, its box and the atoms still pending
+    against that box, for the interval rung to resume from. Each distinct linear system, by constraint set, is kept
     once, at its first position; nonlinear disjuncts are kept as they come.
     Each distinct atom object is linearized once, however many disjuncts
     hold it, and its variables are gathered at most once in this call.
@@ -670,11 +688,69 @@ def _combine(lower: Constraint, upper: Constraint, var: str) -> Constraint:
     return _mk_constraint(coeffs, bound, lower.strict or upper.strict)
 
 
+def _equation(
+    lowers: Sequence[Constraint], uppers: Sequence[Constraint], var: str
+) -> Optional[tuple[Constraint, Constraint]]:
+    """The canonical equation among the bounds on `var`, as its (lower,
+    upper) pair: a non-strict upper bound whose exact negation is a lower
+    bound. A unit coefficient on `var` comes first, then the fewest
+    variables, then the least coefficient tuple and bound; None when there
+    is no equation."""
+    by_bound: dict[Rational, list[Constraint]] = {}  # the non-strict lower bounds, by their negated bound
+    for c in lowers:
+        if not c.strict:
+            by_bound.setdefault(-c.bound, []).append(c)
+    equations: list[tuple[Constraint, Constraint]] = []
+    for up in uppers:
+        if not up.strict and up.bound in by_bound:
+            negation = tuple((n, -k) for n, k in up.coeffs)
+            equations += [(lo, up) for lo in by_bound[up.bound] if lo.coeffs == negation]
+    return min(
+        equations,
+        key=lambda eq: (abs(eq[1].coeff(var)) != 1, len(eq[1].coeffs), eq[1].coeffs, eq[1].bound),
+        default=None,
+    )
+
+
+def _refutation(constraints: Sequence[Constraint]) -> Optional[Constraint]:
+    """A ground-false constraint when two of the constraints bound one
+    coefficient direction, up to a positive factor, from opposite sides with
+    no room between them: their sum, scaled so that the coefficients
+    cancel. None when no two do. Two such constraints share a leading
+    variable and a length, and their leading coefficients have opposite
+    signs."""
+    sides: dict[tuple[str, int], tuple[list[Constraint], list[Constraint]]] = {}
+    for c in constraints:
+        if c.coeffs:
+            sides.setdefault((c.coeffs[0][0], len(c.coeffs)), ([], []))[c.coeffs[0][1] > 0].append(c)
+    for below, above in sides.values():  # leading coefficient negative, positive
+        for lo in below:
+            s = -lo.coeffs[0][1]
+            for up in above:
+                t = up.coeffs[0][1]
+                # t * lo + s * up has no coefficients left
+                if all(n == m and k * t == -j * s for (n, k), (m, j) in zip(lo.coeffs, up.coeffs)):
+                    ground = Constraint((), t * lo.bound + s * up.bound, lo.strict or up.strict)
+                    if not ground.ground_truth():
+                        return ground
+    return None
+
+
 def fm_eliminate(system: LinearSystem, var: str) -> LinearSystem:
     """Project a <=/< system along one variable, exactly.
 
     The solution set of the result over the remaining variables is the
-    projection of the input's rational solution set.
+    projection of the input's rational solution set. Each lower bound on
+    `var` is paired with each upper bound. When there are at least two of
+    each and two of them make an equation, every other bound is paired
+    with the equation only, as the Omega test does (Pugh 1992): each pair
+    left out is a positive combination of two pairs kept. `_equation`
+    picks the equation canonically, so that equal constraint sets project
+    alike. A pair left out that would have been ground-false leaves two
+    results that bound one direction from opposite sides with no room
+    between; a result through an equation in which `_refutation` finds two
+    such constraints gains the ground-false constraint, so it is trivially
+    unsat whenever pairing all bounds would have made it so.
     """
     out: list[Constraint] = []  # the constraints without var, then the pairs
     lowers: list[Constraint] = []  # coeff < 0: a lower bound on var
@@ -687,13 +763,20 @@ def fm_eliminate(system: LinearSystem, var: str) -> LinearSystem:
             uppers.append(c)
         else:
             lowers.append(c)
-    for lo in lowers:
-        for up in uppers:
-            combined = _combine(lo, up, var)
-            if combined.is_ground() and combined.ground_truth():
-                continue
+    equation = _equation(lowers, uppers, var) if len(lowers) > 1 and len(uppers) > 1 else None
+    if equation is None:
+        pairs: Iterable[tuple[Constraint, Constraint]] = itertools.product(lowers, uppers)
+    else:
+        lo_eq, up_eq = equation
+        pairs = [(lo, up_eq) for lo in lowers if lo is not lo_eq] + [(lo_eq, up) for up in uppers if up is not up_eq]
+    for lo, up in pairs:
+        combined = _combine(lo, up, var)
+        if not (combined.is_ground() and combined.ground_truth()):
             out.append(combined)
-    return LinearSystem(_tightest(out))
+    result = _tightest(out)
+    if equation is not None and (ground := _refutation(result)) is not None:
+        result += (ground,)
+    return LinearSystem(result)
 
 
 def _pairings(system: LinearSystem) -> dict[str, int]:

@@ -59,8 +59,10 @@ def format_expr(node, level: int = 0) -> str:
         case And(left=l, right=r) | Or(left=l, right=r) | Implies(left=l, right=r):
             own, s = _infix(_CONNECTIVES[type(node)], l, r)
         case Exists(names=ns, body=b):
-            # not part of the surface grammar; report rendering only
-            own, s = ATOM, f"exists {', '.join(ns)} . {format_expr(b)}"
+            # not part of the surface grammar; report rendering only. Its
+            # body reaches as far right as it can, so as an operand it binds
+            # loosest and is parenthesized
+            own, s = 0, f"exists {', '.join(ns)} . {format_expr(b)}"
     return f"({s})" if own < level else s
 
 

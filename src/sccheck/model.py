@@ -632,11 +632,16 @@ class FiniteGrid:
         return None
 
     def lookup(self, name: str) -> tuple[Rational, ...]:
-        """Values for a variable: its own entry, else, for a qualified name
-        such as "c1.r", the entry of its bare field name "r"."""
+        """Values for a variable: its own entry, else that of the name
+        without the `~k` suffix a renamed binder carries, else that of its
+        base field, the last dotted component: "r" for "c1.r" or "c1.r~1"."""
+        unrenamed = name.split("~", 1)[0]
+        field = unrenamed.rsplit(".", 1)[-1]
         vals = self.values_for(name)
-        if vals is None and "." in name:
-            vals = self.values_for(name.split(".", 1)[1])
+        if vals is None and unrenamed != name:
+            vals = self.values_for(unrenamed)
+        if vals is None and field != unrenamed:
+            vals = self.values_for(field)
         if vals is None:
             raise GridIncomplete([name])
         return vals

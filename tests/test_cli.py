@@ -2,12 +2,14 @@ import io
 import json
 import pathlib
 import runpy
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
 from sccheck.cli import (
     CheckOptions,
+    _off_grid,
     exit_code_for,
     main,
     parse_grid_flag,
@@ -15,6 +17,7 @@ from sccheck.cli import (
     run_check,
 )
 from sccheck.engine import EngineOptions, Status, Verdict
+from sccheck.model import FiniteGrid
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CORPUS = str(ROOT / "corpus" / "resistor.scspec")
@@ -592,6 +595,14 @@ def test_grid_block_names_qualified_child_fields(tmp_path, capsys):
         [ob] = json.loads(capsys.readouterr().out)["obligations"]
         readings.append(ob["oracle"]["min_characterization"])
     assert readings == [False, True]
+
+
+def test_a_renamed_witness_variable_is_read_on_the_line_it_renames():
+    # c1.r~1 is a copy of c1.r, renamed when two residues both bind c1.r
+    g = FiniteGrid.of({"r": [0, 1], "c1.r": [5]})
+    assert not _off_grid({"r": Fraction(1), "c1.r~1": Fraction(5)}, g)
+    assert _off_grid({"r": Fraction(1), "c1.r~1": Fraction(1)}, g)
+    assert _off_grid({"c2.r~1": Fraction(5)}, g) and not _off_grid({"c2.r~1": Fraction(0)}, g)
 
 
 @pytest.mark.parametrize("name", ["zz", "c2.zz", "c3.r", "c2.tol"])

@@ -669,11 +669,16 @@ def test_a_meet_that_narrows_a_revised_atom_requeues_it():
     ]
     own = [expr("x >= 5"), expr("y <= 3"), expr("u < 0")]
     assert _revise(own, {"x": Interval(5, None), "y": Interval(None, 3), "u": Interval(None, 0)})
-    # the interval rung resumes each nonlinear disjunct from its pending
-    # atoms, the three after the last conjunct that branched
+    # the conjuncts of one product are met before the first split, whose
+    # revision sees them all: the interval rung has nothing left to resume
+    # from, unless no conjunct branched
     late = "y >= x + 1 and (w < 0 or w > 1) and x >= 5 and y <= 3 and z * z >= 0"
-    assert [d.pending for d in normalize(nnf(expr(late))).disjuncts] == [(2, 3, 4), (2, 3, 4)]
-    assert decide_satisfiability(expr(late)).status == "unsat"
+    assert normalize(nnf(expr(late))).disjuncts == ()
+    split = "y >= x + 1 and (w < 0 or w > 1) and z * z >= 0"
+    assert [d.pending for d in normalize(nnf(expr(split))).disjuncts] == [(), ()]
+    flat = "y >= x + 1 and x >= 5 and y <= 3 and z * z >= 0"
+    assert [d.pending for d in normalize(nnf(expr(flat))).disjuncts] == [(0, 1, 2, 3)]
+    assert decide_satisfiability(expr(flat)).status == "unsat"
 
 
 def test_revise_halving_forever_stops_within_its_budget():
@@ -703,19 +708,25 @@ def test_a_revised_bound_on_one_variable_watches_none(text, watched):
     assert _watched(expr(text), {}) == watched
 
 
-def test_an_empty_meet_drops_a_product_unrevised():
+def test_an_empty_meet_drops_a_product_unrevised(monkeypatch):
     one, two = Fraction(1), Fraction(2)
     assert _meet({"x": Interval(two, None)}, {"x": Interval(None, one)}) is None
     meet = _meet({"x": Interval(one, two), "y": FULL_INTERVAL}, {"x": Interval(None, one)})
     assert meet == {"x": Interval(one, one), "y": FULL_INTERVAL}
-    # the second conjunct does not branch, so no product is revised: the two
-    # that pair x >= 2 with x <= 1 are dropped by their boxes alone
+    # the second conjunct is one product, met and revised first; of the
+    # first conjunct's three products, the two that pair x >= 2 with x <= 1
+    # are dropped by their boxes alone, and only the third is revised
+    revised = []
+    revise = engine._revise
+    monkeypatch.setattr(engine, "_revise", lambda atoms, *args: revised.append(list(atoms)) or revise(atoms, *args))
     first = "(x >= 2 and (y < 0 or y > 1) or w = 0)"
     second = "(x <= 1 and (z < 0 or x > 5) or false)"
     lists = _dnf_atom_lists(nnf(expr(f"{first} and {second}")), 4096)
-    assert [atoms for atoms, *_ in lists] == [[expr("w = 0"), expr("x <= 1"), expr("z < 0")]]
+    assert [atoms for atoms, *_ in lists] == [[expr("x <= 1"), expr("z < 0"), expr("w = 0")]]
     zero = Fraction(0)
     assert lists[0][1] == {"w": Interval(zero, zero), "x": Interval(None, one), "z": Interval(None, zero)}
+    # the first six revisions are inside each conjunct
+    assert revised[6:] == [[expr("x <= 1"), expr("z < 0")], [expr("x <= 1"), expr("z < 0"), expr("w = 0")]]
 
 
 # ---------------------------------------------------------------------------
@@ -952,7 +963,8 @@ def test_a_query_is_normalized_once(monkeypatch, text, status, counts):
 
 
 def test_dnf_cap_on_unsat_formula_surfaces_as_unknown():
-    text = " and ".join(f"x{i} != 0" for i in range(8)) + " and x0 = 0"
+    # a contradiction that interval contraction cannot see, so every branch survives
+    text = " and ".join(f"x{i} != 0" for i in range(8)) + " and a + b = 1 and a + b = 2"
     result = decide_satisfiability(expr(text), EngineOptions(dnf_cap=16, samples=200))
     assert result.status == "unknown"
     assert "16" in result.reason

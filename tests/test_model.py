@@ -118,6 +118,15 @@ def test_grid_lookup_falls_back_to_the_bare_field_name():
         g.lookup("c1.u")
 
 
+def test_grid_lookup_reads_a_renamed_binder_as_the_name_it_renames():
+    # a `~k` suffix marks a binder renamed to avoid capture
+    g = FiniteGrid.of({"r": [0, 1], "c2.r": [5]})
+    assert g.lookup("c2.r~1") == (Fraction(5),)
+    assert g.lookup("c1.r~1") == g.lookup("r~2") == g.lookup("c0.c1.r~1~2") == (Fraction(0), Fraction(1))
+    with pytest.raises(GridIncomplete):
+        g.lookup("c1.u~1")
+
+
 def test_interpret_quantifiers_range_over_the_grid():
     # c1.r has no entry of its own, so it ranges over the values of r
     c = Contract(

@@ -326,4 +326,4 @@ def test_qualify_keeps_exactly_the_free_variables_of_composed_contracts():
         for tree in trees:
             for prefix in ("c0", "c1", "c2", "k"):
                 _qualify_keeps_exactly_the_free_variables(tree, prefix)
-    assert residues == 44
+    assert residues == 43

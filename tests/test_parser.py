@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from docgen import random_document
 from sccheck.formatter import format_expr, format_spec
-from sccheck.model import And, BinOp, Const, Implies, Not, Or
+from sccheck.model import And, BinOp, Const, Exists, Implies, Not, Or
 from sccheck.parser import parse_expression, parse_spec, tokenize
 
 
@@ -182,6 +182,17 @@ def test_nested_parentheses_preserved_per_precedence():
     right_nested = parse_expression("a = 1 and b = 2 and c = 3")
     assert format_expr(right_nested) == "a = 1 and b = 2 and c = 3"
     assert left_nested != right_nested
+
+
+def test_an_existential_operand_is_parenthesized():
+    # an existential's body reaches as far right as it can, so one that is an
+    # operand prints in parentheses and the two scopes read differently
+    x_is_1, y_is_2 = parse_expression("x = 1"), parse_expression("y = 2")
+    assert format_expr(Exists(("x",), And(x_is_1, y_is_2))) == "exists x . x = 1 and y = 2"
+    assert format_expr(And(Exists(("x",), x_is_1), y_is_2)) == "(exists x . x = 1) and y = 2"
+    assert format_expr(And(y_is_2, Exists(("x",), x_is_1))) == "y = 2 and (exists x . x = 1)"
+    assert format_expr(Not(Exists(("x", "y"), x_is_1))) == "not (exists x, y . x = 1)"
+    assert format_expr(Exists(("y",), Exists(("x",), x_is_1))) == "exists y . exists x . x = 1"
 
 
 def test_arithmetic_precedence():
